@@ -27,6 +27,17 @@ GOLDEN_CASES = [
     ("check.json", ("--json", "check", "x^2", "5", "-6", "3")),
     ("decompose.json", ("--json", "decompose", "x^2", "3")),
     ("table.json", ("--json", "table", "x^2", "3", "--steps", "3")),
+    ("tangent.txt", ("tangent", "x^3 - 2*x", "1/2")),
+    ("derive.txt", ("derive", "(x^2+1)/(x-1)")),
+    ("check.txt", ("check", "x^3", "1", "0", "1")),
+    ("check-tangent.txt", ("check", "x^2", "6", "-9", "3")),
+    ("mult.txt", ("mult", "x^2", "6", "-9", "3")),
+    ("decompose.txt", ("decompose", "x^3", "1")),
+    ("expand.txt", ("expand", "x^3 - x", "2")),
+    ("table.txt", ("table", "x^3", "1", "--steps", "4")),
+    ("rules.txt", ("rules", "x^2 + 1", "0")),
+    ("dual.txt", ("dual", "x^3", "2", "1")),
+    ("dual-exp.txt", ("dual", "exp", "1", "2")),
 ]
 
 
