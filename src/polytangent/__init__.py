@@ -33,7 +33,6 @@ from .parser import (
     lower_poly,
     lower_ratfun,
     parse,
-    render,
 )
 from .polynomial import (
     ONE,
@@ -44,7 +43,7 @@ from .polynomial import (
     RationalFunction,
     polynomial_gcd,
 )
-from .rational import Rational, parse_rational, render_rational, to_decimal
+from .rational import to_decimal
 from .rules import (
     RuleReport,
     verify_chain,
@@ -82,7 +81,6 @@ __all__ = [
     "ParseError",
     "Polynomial",
     "QuotientRow",
-    "Rational",
     "RationalFunction",
     "RuleReport",
     "TangentLine",
@@ -99,13 +97,10 @@ __all__ = [
     "lower_poly",
     "lower_ratfun",
     "parse",
-    "parse_rational",
     "polynomial_gcd",
     "quotient_table",
     "ratfun_derivative",
     "remainder_valuation",
-    "render",
-    "render_rational",
     "secant_slope",
     "tangent_at",
     "taylor_shift",

@@ -16,6 +16,7 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .decomposition import decompose, quotient_table, remainder_valuation
 from .dual import Dual, ElementaryFn, eval_elementary, eval_poly
@@ -36,15 +37,9 @@ from .tangency import (
 
 _DUAL_TAGS = ("exp", "log", "sin", "cos", "tan")  # pow_const is API-only
 
-
-def _envelope(command, inputs, result, status="ok", error=None) -> dict:
-    return {
-        "command": command,
-        "inputs": inputs,
-        "result": result,
-        "status": status,
-        "error": error,
-    }
+# Raised by a handler on bad input: exit 2.  OverflowError comes from
+# float conversions, such as exp of a large argument or a huge plot range.
+_INPUT_ERRORS = (ParseError, LoweringError, ValueError, ZeroDivisionError, OverflowError, OSError)
 
 
 def _poly(text: str) -> Polynomial:
@@ -56,118 +51,139 @@ def _finite_or_marker(value):
 
 
 # -- command handlers --------------------------------------------------------
+#
+# Each handler returns (inputs, result, text lines) for a successful run.
 
 
-def _cmd_tangent(args) -> dict:
+def _cmd_tangent(args):
     f = _poly(args.expr)
     p = Fraction(args.p)
     t = tangent_at(f, p)
+    equation = t.equation()
+    difference = f - t.line.as_polynomial()
     factored = f"({X - p})^2 * ({t.cofactor})"
     result = {
         "point": str(t.point),
         "slope": str(t.slope),
         "intercept": str(t.intercept),
         "cofactor": str(t.cofactor),
-        "equation": t.equation(),
-        "certificate": {
-            "difference": str(f - t.line.as_polynomial()),
-            "factored": factored,
-            "verified": True,
-        },
+        "equation": equation,
+        "certificate": {"difference": str(difference), "factored": factored, "verified": True},
     }
-    return _envelope("tangent", {"expr": str(f), "p": str(p)}, result)
+    lines = [
+        f"tangent to f(x) = {f} at p = {p}",
+        f"  {equation}",
+        f"  slope     k = {t.slope}",
+        f"  intercept b = {t.intercept}",
+        f"  cofactor  Q = {t.cofactor}",
+        f"  certificate: {difference} = {factored}",
+    ]
+    return {"expr": str(f), "p": str(p)}, result, lines
 
 
-def _cmd_derive(args) -> dict:
+def _cmd_derive(args):
     tree = parse(args.expr)
     try:
         f = lower_poly(tree)
     except LoweringError:
-        r = lower_ratfun(tree)
-        result = {"kind": "rational_function", "derivative": str(ratfun_derivative(r))}
-        return _envelope("derive", {"expr": str(r)}, result)
-    result = {"kind": "polynomial", "derivative": str(derivative(f))}
-    return _envelope("derive", {"expr": str(f)}, result)
+        f = lower_ratfun(tree)
+        kind, d = "rational_function", ratfun_derivative(f)
+    else:
+        kind, d = "polynomial", derivative(f)
+    lines = [f"d/dx {f} = {d}"]
+    return {"expr": str(f)}, {"kind": kind, "derivative": str(d)}, lines
 
 
-def _cmd_check(args) -> dict:
+def _cmd_check(args):
     f = _poly(args.expr)
     line = LinearFunction(Fraction(args.k), Fraction(args.b))
     p = Fraction(args.p)
     m = intersection_multiplicity(f, line, p)
-    result = {
-        "line": line.equation(),
-        "multiplicity": _finite_or_marker(m),
-        "tangent": m >= 2,
-    }
-    inputs = {
-        "expr": str(f),
-        "k": str(line.slope),
-        "b": str(line.intercept),
-        "p": str(p),
-    }
-    return _envelope("check", inputs, result)
+    tangent = m >= 2
+    multiplicity = _finite_or_marker(m)
+    inputs = {"expr": str(f), "k": str(line.slope), "b": str(line.intercept), "p": str(p)}
+    result = {"line": line.equation(), "multiplicity": multiplicity, "tangent": tangent}
+    lines = [
+        f"f(x) = {f} against {line.equation()} at p = {p}",
+        f"  intersection multiplicity: {multiplicity}",
+        f"  verdict: {'tangent' if tangent else 'not tangent'}",
+    ]
+    return inputs, result, lines
 
 
-def _cmd_mult(args) -> dict:
-    env = _cmd_check(args)
-    result = {"line": env["result"]["line"], "multiplicity": env["result"]["multiplicity"]}
-    return _envelope("mult", env["inputs"], result)
+def _cmd_mult(args):
+    inputs, result, lines = _cmd_check(args)
+    del result["tangent"]
+    return inputs, result, lines[:-1]
 
 
-def _cmd_decompose(args) -> dict:
+def _cmd_decompose(args):
     f = _poly(args.expr)
     x0 = Fraction(args.x0)
     d = decompose(f, x0)
+    remainder = d.remainder.render("t")
+    valuation = _finite_or_marker(remainder_valuation(d))
     result = {
         "x0": str(d.x0),
         "value": str(d.value),
         "slope": str(d.slope),
-        "remainder": d.remainder.render("t"),
-        "valuation": _finite_or_marker(remainder_valuation(d)),
+        "remainder": remainder,
+        "valuation": valuation,
     }
-    return _envelope("decompose", {"expr": str(f), "x0": str(x0)}, result)
+    lines = [
+        f"f(x0 + t) for f(x) = {f}, x0 = {x0}",
+        f"  value     f(x0)  = {d.value}",
+        f"  slope     f'(x0) = {d.slope}",
+        f"  remainder R(t)   = {remainder}",
+        f"  valuation        = {valuation}",
+    ]
+    return {"expr": str(f), "x0": str(x0)}, result, lines
 
 
-def _cmd_expand(args) -> dict:
+def _cmd_expand(args):
     f = _poly(args.expr)
     p = Fraction(args.p)
     e = taylor_shift(f, p)
-    result = {
-        "center": str(e.center),
-        "coefficients": [str(c) for c in e.coeffs],
-        "polynomial": Polynomial(e.coeffs).render("t"),
-    }
-    return _envelope("expand", {"expr": str(f), "p": str(p)}, result)
+    coefficients = [str(c) for c in e.coeffs]
+    polynomial = Polynomial(e.coeffs).render("t")
+    result = {"center": str(e.center), "coefficients": coefficients, "polynomial": polynomial}
+    lines = [f"f({p} + t) = {polynomial}", f"  coefficients: {', '.join(coefficients)}"]
+    return {"expr": str(f), "p": str(p)}, result, lines
 
 
-def _cmd_table(args) -> dict:
+def _cmd_table(args):
     f = _poly(args.expr)
     x0 = Fraction(args.x0)
-    rows = quotient_table(f, x0, args.steps)
-    result = {
-        "x0": str(x0),
-        "slope": str(derivative(f)(x0)),
-        "rows": [
-            {
-                "h": str(r.h),
-                "dy": str(r.dy),
-                "quotient": str(r.quotient),
-                "gap": str(r.gap),
-                "h_decimal": to_decimal(r.h),
-                "quotient_decimal": to_decimal(r.quotient),
-                "gap_decimal": to_decimal(r.gap),
-            }
-            for r in rows
-        ],
-    }
-    return _envelope("table", {"expr": str(f), "x0": str(x0), "steps": args.steps}, result)
+    rows = [
+        {
+            "h": str(r.h),
+            "dy": str(r.dy),
+            "quotient": str(r.quotient),
+            "gap": str(r.gap),
+            "h_decimal": to_decimal(r.h),
+            "quotient_decimal": to_decimal(r.quotient),
+            "gap_decimal": to_decimal(r.gap),
+        }
+        for r in quotient_table(f, x0, args.steps)
+    ]
+    slope = derivative(f)(x0)
+    lines = [
+        f"difference quotients for f(x) = {f} at x0 = {x0} (slope {slope})",
+        f"  {'h':>12}  {'dy/dx':>16}  {'gap':>16}  {'gap (decimal)':>16}",
+    ]
+    lines += [
+        f"  {row['h']:>12}  {row['quotient']:>16}  {row['gap']:>16}  {row['gap_decimal']:>16}"
+        for row in rows
+    ]
+    inputs = {"expr": str(f), "x0": str(x0), "steps": args.steps}
+    return inputs, {"x0": str(x0), "slope": str(slope), "rows": rows}, lines
 
 
-def _cmd_rules(args) -> dict:
+def _cmd_rules(args):
     f = _poly(args.f)
     g = _poly(args.g)
     reports = []
+    lines = [f"differentiation rules for f = {f}, g = {g}"]
     for name in RULES:
         try:
             rep = VERIFIERS[name](f, g)
@@ -175,29 +191,31 @@ def _cmd_rules(args) -> dict:
             reports.append(
                 {"rule": name, "lhs": None, "rhs": None, "holds": None, "error": str(exc)}
             )
+            lines.append(f"  {name:>8}: input error: {exc}")
             continue
-        reports.append(
-            {"rule": name, "lhs": str(rep.lhs), "rhs": str(rep.rhs), "holds": rep.holds}
-        )
-    return _envelope("rules", {"f": str(f), "g": str(g)}, {"reports": reports})
+        reports.append({"rule": name, "lhs": str(rep.lhs), "rhs": str(rep.rhs), "holds": rep.holds})
+        word = "holds" if rep.holds else "FAILS"
+        lines.append(f"  {name:>8}: {word}  {rep.lhs} == {rep.rhs}")
+    return {"f": str(f), "g": str(g)}, {"reports": reports}, lines
 
 
-def _cmd_dual(args) -> dict:
+def _cmd_dual(args):
     a = Fraction(args.a)
     b = Fraction(args.b)
     if args.fn in _DUAL_TAGS:
-        out = eval_elementary(ElementaryFn(args.fn), Dual(float(a), float(b)))
-        inputs = {"fn": args.fn, "a": str(a), "b": str(b)}
+        fn = args.fn
+        out = eval_elementary(ElementaryFn(fn), Dual(float(a), float(b)))
         result = {"kind": "elementary", "real": out.real, "eps": out.eps}
-        return _envelope("dual", inputs, result)
-    f = _poly(args.fn)
-    out = eval_poly(f, Dual(a, b))
-    inputs = {"fn": str(f), "a": str(a), "b": str(b)}
-    result = {"kind": "polynomial", "real": str(out.real), "eps": str(out.eps)}
-    return _envelope("dual", inputs, result)
+    else:
+        f = _poly(args.fn)
+        fn = str(f)
+        out = eval_poly(f, Dual(a, b))
+        result = {"kind": "polynomial", "real": str(out.real), "eps": str(out.eps)}
+    lines = [f"{fn} at ({a} + {b}*eps)", f"  real = {out.real}", f"  eps  = {out.eps}"]
+    return {"fn": fn, "a": str(a), "b": str(b)}, result, lines
 
 
-def _cmd_plot(args) -> dict:
+def _cmd_plot(args):
     f = _poly(args.expr)
     p = Fraction(args.p)
     try:
@@ -213,10 +231,11 @@ def _cmd_plot(args) -> dict:
     dx = Fraction(args.dx) if args.dx is not None else None
     svg, info = render_figure(f, p, lo, hi, dx=dx, width=width, height=height)
     Path(args.out).write_text(svg, encoding="utf-8")
+    size, span = f"{width}x{height}", f"{lo},{hi}"
     result = {
         "out": args.out,
-        "size": f"{width}x{height}",
-        "range": f"{lo},{hi}",
+        "size": size,
+        "range": span,
         "slope": str(info["slope"]),
         "intercept": str(info["intercept"]),
         "samples": info["samples"],
@@ -224,126 +243,61 @@ def _cmd_plot(args) -> dict:
         "delta_y": str(info["delta_y"]) if dx is not None else None,
         "differential": str(info["differential"]) if dx is not None else None,
     }
-    inputs = {"expr": str(f), "p": str(p), "range": f"{lo},{hi}"}
+    lines = [
+        f"wrote {args.out} ({size}, x in [{span}], {info['samples']} samples)",
+        f"  tangent: slope {info['slope']}, intercept {info['intercept']}",
+    ]
+    inputs = {"expr": str(f), "p": str(p), "range": span}
     if dx is not None:
         inputs["dx"] = str(dx)
-    return _envelope("plot", inputs, result)
+        lines.append(
+            f"  secant: dx = {dx}, dy = {info['delta_y']}, "
+            f"differential = {info['differential']}"
+        )
+    return inputs, result, lines
 
 
-_HANDLERS = {
-    "tangent": _cmd_tangent,
-    "derive": _cmd_derive,
-    "check": _cmd_check,
-    "mult": _cmd_mult,
-    "decompose": _cmd_decompose,
-    "expand": _cmd_expand,
-    "table": _cmd_table,
-    "rules": _cmd_rules,
-    "dual": _cmd_dual,
-    "plot": _cmd_plot,
+# -- the command table ----------------------------------------------------------
+
+
+class Command(NamedTuple):
+    help: str
+    positionals: tuple[str, ...]
+    handler: Callable
+    options: tuple = ()  # (flag, add_argument keywords) pairs
+
+
+COMMANDS = {
+    "tangent": Command("tangent line at a point", ("expr", "p"), _cmd_tangent),
+    "derive": Command("derivative of a polynomial or rational function", ("expr",), _cmd_derive),
+    "check": Command(
+        "test whether y = k*x + b is tangent at p", ("expr", "k", "b", "p"), _cmd_check
+    ),
+    "mult": Command("intersection multiplicity of a line at p", ("expr", "k", "b", "p"), _cmd_mult),
+    "decompose": Command("value + slope*t + remainder about x0", ("expr", "x0"), _cmd_decompose),
+    "expand": Command("rewrite f in powers of t = x - p", ("expr", "p"), _cmd_expand),
+    "table": Command(
+        "exact difference-quotient table",
+        ("expr", "x0"),
+        _cmd_table,
+        (("--steps", dict(type=int, default=6, help="rows, h = 1/10 .. 1/10^steps")),),
+    ),
+    "rules": Command("verify the differentiation rules for f and g", ("f", "g"), _cmd_rules),
+    "dual": Command(
+        "evaluate at a + b*eps (polynomial or exp/log/sin/cos/tan)", ("fn", "a", "b"), _cmd_dual
+    ),
+    "plot": Command(
+        "SVG figure: curve, tangent, optional secant",
+        ("expr", "p"),
+        _cmd_plot,
+        (
+            ("--range", dict(required=True, metavar="LO,HI")),
+            ("--dx", dict(help="draw the secant to p + dx with increment annotations")),
+            ("--size", dict(default="800x600", metavar="WxH")),
+            ("--out", dict(default="plot.svg", metavar="FILE", help="SVG destination")),
+        ),
+    ),
 }
-
-
-# -- text rendering ------------------------------------------------------------
-
-
-def _text_lines(env: dict) -> list[str]:
-    cmd = env["command"]
-    inputs = env["inputs"]
-    r = env["result"]
-    if env["status"] == "error":
-        return [f"error: {env['error']}"]
-    if cmd == "tangent":
-        return [
-            f"tangent to f(x) = {inputs['expr']} at p = {inputs['p']}",
-            f"  {r['equation']}",
-            f"  slope     k = {r['slope']}",
-            f"  intercept b = {r['intercept']}",
-            f"  cofactor  Q = {r['cofactor']}",
-            f"  certificate: {r['certificate']['difference']} = {r['certificate']['factored']}",
-        ]
-    if cmd == "derive":
-        return [f"d/dx {inputs['expr']} = {r['derivative']}"]
-    if cmd in ("check", "mult"):
-        lines = [
-            f"f(x) = {inputs['expr']} against {r['line']} at p = {inputs['p']}",
-            f"  intersection multiplicity: {r['multiplicity']}",
-        ]
-        if cmd == "check":
-            verdict = "tangent" if r["tangent"] else "not tangent"
-            lines.append(f"  verdict: {verdict}")
-        return lines
-    if cmd == "decompose":
-        return [
-            f"f(x0 + t) for f(x) = {inputs['expr']}, x0 = {inputs['x0']}",
-            f"  value     f(x0)  = {r['value']}",
-            f"  slope     f'(x0) = {r['slope']}",
-            f"  remainder R(t)   = {r['remainder']}",
-            f"  valuation        = {r['valuation']}",
-        ]
-    if cmd == "expand":
-        return [
-            f"f({inputs['p']} + t) = {r['polynomial']}",
-            f"  coefficients: {', '.join(r['coefficients'])}",
-        ]
-    if cmd == "table":
-        lines = [
-            f"difference quotients for f(x) = {inputs['expr']} at x0 = {r['x0']} "
-            f"(slope {r['slope']})",
-            f"  {'h':>12}  {'dy/dx':>16}  {'gap':>16}  {'gap (decimal)':>16}",
-        ]
-        for row in r["rows"]:
-            lines.append(
-                f"  {row['h']:>12}  {row['quotient']:>16}  {row['gap']:>16}  "
-                f"{row['gap_decimal']:>16}"
-            )
-        return lines
-    if cmd == "rules":
-        lines = [f"differentiation rules for f = {inputs['f']}, g = {inputs['g']}"]
-        for rep in r["reports"]:
-            if rep["holds"] is None:
-                lines.append(f"  {rep['rule']:>8}: input error: {rep['error']}")
-            else:
-                word = "holds" if rep["holds"] else "FAILS"
-                lines.append(f"  {rep['rule']:>8}: {word}  {rep['lhs']} == {rep['rhs']}")
-        return lines
-    if cmd == "dual":
-        return [
-            f"{inputs['fn']} at ({inputs['a']} + {inputs['b']}*eps)",
-            f"  real = {r['real']}",
-            f"  eps  = {r['eps']}",
-        ]
-    if cmd == "plot":
-        lines = [
-            f"wrote {r['out']} ({r['size']}, x in [{r['range']}], {r['samples']} samples)",
-            f"  tangent: slope {r['slope']}, intercept {r['intercept']}",
-        ]
-        if r["dx"] is not None:
-            lines.append(
-                f"  secant: dx = {r['dx']}, dy = {r['delta_y']}, "
-                f"differential = {r['differential']}"
-            )
-        return lines
-    return [json.dumps(env)]
-
-
-def _emit(env: dict, args) -> None:
-    if args.json:
-        payload = json.dumps(env, indent=2) + "\n"
-    else:
-        payload = "\n".join(_text_lines(env)) + "\n"
-    if args.output:
-        Path(args.output).write_text(payload, encoding="utf-8")
-    else:
-        sys.stdout.write(payload)
-
-
-def _raw_inputs(args) -> dict:
-    skip = {"command", "json", "output"}
-    return {k: str(v) for k, v in vars(args).items() if k not in skip and v is not None}
-
-
-# -- argument parsing ------------------------------------------------------------
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -355,71 +309,41 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--json", action="store_true", help="emit one JSON object")
     ap.add_argument("--output", metavar="PATH", help="write the output to PATH instead of stdout")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("tangent", help="tangent line at a point")
-    p.add_argument("expr")
-    p.add_argument("p")
-
-    p = sub.add_parser("derive", help="derivative of a polynomial or rational function")
-    p.add_argument("expr")
-
-    p = sub.add_parser("check", help="test whether y = k*x + b is tangent at p")
-    p.add_argument("expr")
-    p.add_argument("k")
-    p.add_argument("b")
-    p.add_argument("p")
-
-    p = sub.add_parser("mult", help="intersection multiplicity of a line at p")
-    p.add_argument("expr")
-    p.add_argument("k")
-    p.add_argument("b")
-    p.add_argument("p")
-
-    p = sub.add_parser("decompose", help="value + slope*t + remainder about x0")
-    p.add_argument("expr")
-    p.add_argument("x0")
-
-    p = sub.add_parser("expand", help="rewrite f in powers of t = x - p")
-    p.add_argument("expr")
-    p.add_argument("p")
-
-    p = sub.add_parser("table", help="exact difference-quotient table")
-    p.add_argument("expr")
-    p.add_argument("x0")
-    p.add_argument("--steps", type=int, default=6, help="rows, h = 1/10 .. 1/10^steps")
-
-    p = sub.add_parser("rules", help="verify the differentiation rules for f and g")
-    p.add_argument("f")
-    p.add_argument("g")
-
-    p = sub.add_parser("dual", help="evaluate at a + b*eps (polynomial or exp/log/sin/cos/tan)")
-    p.add_argument("fn")
-    p.add_argument("a")
-    p.add_argument("b")
-
-    p = sub.add_parser("plot", help="SVG figure: curve, tangent, optional secant")
-    p.add_argument("expr")
-    p.add_argument("p")
-    p.add_argument("--range", required=True, metavar="LO,HI")
-    p.add_argument("--dx", help="draw the secant to p + dx with increment annotations")
-    p.add_argument("--size", default="800x600", metavar="WxH")
-    p.add_argument("--out", default="plot.svg", metavar="FILE", help="SVG destination")
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for positional in command.positionals:
+            p.add_argument(positional)
+        for flag, keywords in command.options:
+            p.add_argument(flag, **keywords)
     return ap
+
+
+def _raw_inputs(args) -> dict:
+    skip = {"command", "json", "output"}
+    return {k: str(v) for k, v in vars(args).items() if k not in skip and v is not None}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handler = _HANDLERS[args.command]
+    code, error = 0, None
     try:
-        env = handler(args)
+        inputs, result, lines = COMMANDS[args.command].handler(args)
     except CertificateError as exc:
-        env = _envelope(args.command, _raw_inputs(args), None, "error", str(exc))
-        _emit(env, args)
-        return 3
-    except (ParseError, LoweringError, ValueError, ZeroDivisionError, OSError) as exc:
-        env = _envelope(args.command, _raw_inputs(args), None, "error", str(exc))
-        _emit(env, args)
-        return 2
-    _emit(env, args)
-    return 0
+        code, error = 3, str(exc)
+    except _INPUT_ERRORS as exc:
+        code, error = 2, str(exc)
+    if code:
+        inputs, result, lines = _raw_inputs(args), None, [f"error: {error}"]
+    env = {
+        "command": args.command,
+        "inputs": inputs,
+        "result": result,
+        "status": "error" if code else "ok",
+        "error": error,
+    }
+    payload = json.dumps(env, indent=2) + "\n" if args.json else "\n".join(lines) + "\n"
+    if args.output:
+        Path(args.output).write_text(payload, encoding="utf-8")
+    else:
+        sys.stdout.write(payload)
+    return code

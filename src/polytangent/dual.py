@@ -75,15 +75,12 @@ class Dual:
 
 
 def eval_poly(f: "Polynomial", x: Dual) -> Dual:
-    """Horner evaluation of f with dual arithmetic.
+    """Evaluate f at a dual number (Polynomial.__call__ runs Horner on any ring).
 
     For x = a + b*eps the result is f(a) + f'(a)*b*eps: the eps part
     carries the slope without any division or limiting step.
     """
-    acc = x * 0
-    for c in reversed(f.coeffs):
-        acc = acc * x + c
-    return acc
+    return f(x)
 
 
 ELEMENTARY_TAGS = ("exp", "log", "sin", "cos", "tan", "pow_const")

@@ -22,6 +22,7 @@ folds division by a constant into the coefficients, so ``1/2*x`` means
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,6 +41,11 @@ class ParseError(Exception):
 # Textual input is untrusted; without a bound, a tiny string like
 # "9^999999999" would demand a billion-digit power.
 MAX_EXPONENT = 1024
+
+# Bounded exponents still compose: ((x+1)^8)^300 has degree 2400, and
+# lowering it takes seconds, so the degree of the lowered value is
+# bounded as well.
+MAX_DEGREE = 1024
 
 
 class LoweringError(Exception):
@@ -242,66 +248,87 @@ def parse(text: str) -> Expr:
 # -- lowering ------------------------------------------------------------------
 
 
+def _degree_bound(e: Expr) -> tuple[int, int]:
+    """Bounds on the (numerator, denominator) degrees of e once lowered.
+
+    For a polynomial, whose denominator degree is 0, Add/Sub take the
+    max of their operands, Mul the sum and Pow the multiple.  Raises
+    LoweringError when the bound at any node exceeds MAX_DEGREE, so no
+    intermediate result exceeds it either.
+    """
+    if isinstance(e, Number):
+        bound = (0, 0)
+    elif isinstance(e, Var):
+        bound = (1, 0)
+    elif isinstance(e, Neg):
+        bound = _degree_bound(e.operand)
+    elif isinstance(e, Pow):
+        n, d = _degree_bound(e.base)
+        bound = (n * e.exponent, d * e.exponent)
+    elif isinstance(e, (Add, Sub, Mul, Div)):
+        (n1, d1), (n2, d2) = _degree_bound(e.left), _degree_bound(e.right)
+        if isinstance(e, Mul):
+            bound = (n1 + n2, d1 + d2)
+        elif isinstance(e, Div):
+            bound = (n1 + d2, d1 + n2)
+        else:  # a/b +- c/d = (a*d +- c*b)/(b*d)
+            bound = (max(n1 + d2, n2 + d1), d1 + d2)
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    if max(bound) > MAX_DEGREE:
+        raise LoweringError(f"degree of the result exceeds the limit of {MAX_DEGREE}")
+    return bound
+
+
+_RING_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
+
+
+def _lower(e: Expr, leaf, divide):
+    """Fold the tree with the ring operations of the target type.
+
+    ``leaf`` lifts a constant or x (as a Polynomial) into the target and
+    ``divide`` divides two target values, the divisor known nonzero.
+    """
+    if isinstance(e, Number):
+        return leaf(Polynomial((e.value,)))
+    if isinstance(e, Var):
+        return leaf(X)
+    if isinstance(e, Neg):
+        return -_lower(e.operand, leaf, divide)
+    if isinstance(e, Pow):
+        return _lower(e.base, leaf, divide) ** e.exponent
+    left = _lower(e.left, leaf, divide)
+    right = _lower(e.right, leaf, divide)
+    if not isinstance(e, Div):
+        return _RING_OPS[type(e)](left, right)
+    if not right:
+        raise LoweringError("division by zero")
+    return divide(left, right)
+
+
+def _divide_poly(num: Polynomial, den: Polynomial) -> Polynomial:
+    if den.degree >= 1:
+        raise LoweringError("x in a denominator: not a polynomial")
+    return num * (Fraction(1) / den.coeffs[0])
+
+
 def lower_poly(e: Expr) -> Polynomial:
     """Evaluate the tree to an exact Polynomial.
 
     Division is allowed only by subexpressions that lower to a nonzero
     constant (the constant folds into the coefficients); anything with
     x in a denominator raises LoweringError and belongs to
-    lower_ratfun.
+    lower_ratfun.  A tree whose degree may exceed MAX_DEGREE raises
+    LoweringError before any arithmetic.
     """
-    if isinstance(e, Number):
-        return Polynomial((e.value,))
-    if isinstance(e, Var):
-        return X
-    if isinstance(e, Neg):
-        return -lower_poly(e.operand)
-    if isinstance(e, Add):
-        return lower_poly(e.left) + lower_poly(e.right)
-    if isinstance(e, Sub):
-        return lower_poly(e.left) - lower_poly(e.right)
-    if isinstance(e, Mul):
-        return lower_poly(e.left) * lower_poly(e.right)
-    if isinstance(e, Pow):
-        return lower_poly(e.base) ** e.exponent
-    if isinstance(e, Div):
-        num = lower_poly(e.left)
-        den = lower_poly(e.right)
-        if not den:
-            raise LoweringError("division by zero")
-        if den.degree >= 1:
-            raise LoweringError("x in a denominator: not a polynomial")
-        return num * (Fraction(1) / den.coeffs[0])
-    raise TypeError(f"not an expression node: {e!r}")
+    _degree_bound(e)
+    return _lower(e, lambda p: p, _divide_poly)
 
 
 def lower_ratfun(e: Expr) -> RationalFunction:
-    """Evaluate the tree to a canonical RationalFunction by field arithmetic."""
-    if isinstance(e, Number):
-        return RationalFunction(Polynomial((e.value,)))
-    if isinstance(e, Var):
-        return RationalFunction(X)
-    if isinstance(e, Neg):
-        return -lower_ratfun(e.operand)
-    if isinstance(e, Add):
-        return lower_ratfun(e.left) + lower_ratfun(e.right)
-    if isinstance(e, Sub):
-        return lower_ratfun(e.left) - lower_ratfun(e.right)
-    if isinstance(e, Mul):
-        return lower_ratfun(e.left) * lower_ratfun(e.right)
-    if isinstance(e, Pow):
-        return lower_ratfun(e.base) ** e.exponent
-    if isinstance(e, Div):
-        den = lower_ratfun(e.right)
-        if not den:
-            raise LoweringError("division by zero")
-        return lower_ratfun(e.left) / den
-    raise TypeError(f"not an expression node: {e!r}")
+    """Evaluate the tree to a canonical RationalFunction by field arithmetic.
 
-
-def render(value: Polynomial | RationalFunction) -> str:
-    """Canonical text for a polynomial or rational function.
-
-    Parsing the result back and lowering recovers the value exactly.
+    Like lower_poly, refuses a tree whose degree may exceed MAX_DEGREE.
     """
-    return str(value)
+    _degree_bound(e)
+    return _lower(e, RationalFunction, RationalFunction.__truediv__)

@@ -21,6 +21,9 @@ MARGIN_LEFT = 60.0
 MARGIN_RIGHT = 20.0
 MARGIN_TOP = 20.0
 MARGIN_BOTTOM = 45.0
+# The smallest canvas that leaves a plot area inside the margins.
+MIN_WIDTH = int(MARGIN_LEFT + MARGIN_RIGHT) + 1
+MIN_HEIGHT = int(MARGIN_TOP + MARGIN_BOTTOM) + 1
 
 CURVE_COLOR = "#1f77b4"
 TANGENT_COLOR = "#d62728"
@@ -59,6 +62,11 @@ def render_figure(
         raise ValueError("plot range must satisfy lo < hi")
     if samples < 2:
         raise ValueError("need at least two samples")
+    if width < MIN_WIDTH or height < MIN_HEIGHT:
+        raise ValueError(
+            f"size {width}x{height} leaves no plot area inside the margins; "
+            f"the minimum is {MIN_WIDTH}x{MIN_HEIGHT}"
+        )
 
     tangent = tangent_at(f, p)
     k, b = tangent.slope, tangent.intercept

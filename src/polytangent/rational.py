@@ -1,26 +1,19 @@
 """Exact rational scalars.
 
-Every coefficient and sample point in this package is a ``Rational``:
-an arbitrary-precision fraction in canonical reduced form (positive
-denominator, gcd(|num|, den) = 1, zero stored as 0/1).  The standard
-library's ``fractions.Fraction`` provides exactly these guarantees, so
-it *is* the scalar type here.
-
-Accepted textual forms: ``n``, ``-n``, ``n/d``, and decimal literals
-such as ``1.25`` (converted exactly to 5/4).  Conversion to float is
-nearest-representable and is used only for plotting and the float dual
-path, never inside the exact core.
+Every coefficient and sample point in this package is a
+``fractions.Fraction``: an arbitrary-precision fraction in canonical
+reduced form (positive denominator, gcd(|num|, den) = 1, zero stored as
+0/1).  ``Fraction(text)`` parses ``n``, ``-n``, ``n/d`` and decimal
+literals such as ``1.25`` (exactly 5/4), and ``str`` renders the
+canonical text.  Conversion to float is nearest-representable and is
+used only for plotting and the float dual path, never inside the exact
+core.
 """
 
 from __future__ import annotations
 
 from decimal import Decimal, localcontext
 from fractions import Fraction
-
-Rational = Fraction
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def exact(value) -> Fraction:
@@ -32,16 +25,6 @@ def exact(value) -> Fraction:
     if isinstance(value, float):
         raise TypeError("floats are not allowed in exact arithmetic")
     return Fraction(value)
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse ``n``, ``-n``, ``n/d``, or a decimal literal into an exact value."""
-    return Fraction(text.strip())
-
-
-def render_rational(value: Fraction) -> str:
-    """Canonical text: ``n`` for integers, ``n/d`` otherwise, sign on the numerator."""
-    return str(value)
 
 
 def to_decimal(value: Fraction, digits: int = 12) -> str:

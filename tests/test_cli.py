@@ -11,6 +11,7 @@ import pytest
 
 import polytangent
 from polytangent import cli
+from polytangent.decomposition import MAX_STEPS
 from polytangent.tangency import CertificateError
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -208,6 +209,29 @@ class TestExitCodes:
     def test_bad_rational(self, capsys):
         assert run_cli(capsys, "tangent", "x^2", "3//4")[0] == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("dual", "exp", "1000", "1"),
+            ("plot", "x", "0", "--range", "0,1e400", "--out", "{tmp}/x.svg"),
+        ],
+        ids=["dual-exp", "plot-range"],
+    )
+    def test_float_overflow_is_an_input_error(self, capsys, tmp_path, argv):
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        code, out = run_cli(capsys, "--json", *argv)
+        env = json.loads(out)
+        assert code == 2
+        assert list(env) == ["command", "inputs", "result", "status", "error"]
+        assert (env["status"], env["result"]) == ("error", None)
+        assert env["error"]
+        assert not any(tmp_path.iterdir())
+
+    def test_steps_over_the_bound(self, capsys):
+        code, out = run_cli(capsys, "--json", "table", "x", "0", "--steps", "100000000")
+        assert code == 2
+        assert str(MAX_STEPS) in json.loads(out)["error"]
+
     def test_certificate_failure_is_exit_3(self, capsys, monkeypatch):
         def explode(*_args, **_kwargs):
             raise CertificateError("forced for the test")
@@ -294,6 +318,27 @@ class TestPlot:
         root = ET.parse(out_svg).getroot()
         assert root.get("width") == "400"
         assert root.get("height") == "300"
+
+
+    @pytest.mark.parametrize("size", ["0x0", "-5x-5", "80x600", "800x65"])
+    def test_size_without_plot_area_is_an_input_error(self, capsys, tmp_path, size):
+        out_svg = tmp_path / "x.svg"
+        code, out = run_cli(
+            capsys,
+            "--json", "plot", "x^2", "3", "--range", "0,6", f"--size={size}",
+            "--out", str(out_svg),
+        )
+        assert code == 2
+        assert "81x66" in json.loads(out)["error"]
+        assert not out_svg.exists()
+
+    def test_minimum_size(self, capsys, tmp_path):
+        out_svg = tmp_path / "tiny.svg"
+        code, _ = run_cli(
+            capsys, "plot", "x^2", "3", "--range", "0,6", "--size", "81x66", "--out", str(out_svg)
+        )
+        assert code == 0
+        assert ET.parse(out_svg).getroot().get("width") == "81"
 
 
 def _child_env():

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from polytangent.decomposition import (
+    MAX_STEPS,
     decompose,
     differential,
     increment,
@@ -117,6 +118,9 @@ class TestQuotientTable:
     def test_steps_validation(self):
         with pytest.raises(ValueError):
             quotient_table(X, 0, 0)
+        with pytest.raises(ValueError, match=str(MAX_STEPS)):
+            quotient_table(X, 0, MAX_STEPS + 1)
+        assert len(quotient_table(X, 0, MAX_STEPS)) == MAX_STEPS
 
     @given(polys, points)
     def test_gap_identity(self, f, x0):

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from polytangent.parser import (
+    MAX_DEGREE,
     Div,
     LoweringError,
     Mul,
@@ -18,7 +19,6 @@ from polytangent.parser import (
     lower_poly,
     lower_ratfun,
     parse,
-    render,
 )
 from polytangent.polynomial import ONE, X, Polynomial, RationalFunction
 
@@ -132,6 +132,31 @@ class TestLowerRatfun:
         assert lower_ratfun(parse("(1/x)*x")) == RationalFunction(ONE)
 
 
+class TestDegreeBound:
+    def test_at_the_bound_lowers(self):
+        assert lower_poly(parse("(x+1)^1024")).degree == MAX_DEGREE
+        assert lower_ratfun(parse("x^1024/(x^512*x^512 + 1)")).num == X**MAX_DEGREE
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "x*(x+1)^1024",
+            "((x+1)^8)^300",
+            "((x+1)^1024)^1024",
+            "(x^1024*x)^0",  # an intermediate over the bound
+        ],
+    )
+    def test_over_the_bound_rejected(self, text):
+        for lower in (lower_poly, lower_ratfun):
+            with pytest.raises(LoweringError, match=str(MAX_DEGREE)):
+                lower(parse(text))
+
+    def test_sum_of_fractions_adds_denominator_degrees(self):
+        assert lower_poly(parse("x^1000 + x^1024")).degree == 1024
+        with pytest.raises(LoweringError, match=str(MAX_DEGREE)):
+            lower_ratfun(parse("1/x^600 + 1/(x+1)^600"))
+
+
 class TestRender:
     @pytest.mark.parametrize(
         "poly,text",
@@ -142,15 +167,15 @@ class TestRender:
         ],
     )
     def test_examples(self, poly, text):
-        assert render(poly) == text
+        assert str(poly) == text
 
     def test_ratfun(self):
-        assert render(RationalFunction(Polynomial([-1]), X**2)) == "-1/x^2"
+        assert str(RationalFunction(Polynomial([-1]), X**2)) == "-1/x^2"
 
     @given(polys)
     def test_round_trip(self, f):
-        assert lower_poly(parse(render(f))) == f
+        assert lower_poly(parse(str(f))) == f
 
     @given(st.builds(RationalFunction, polys, polys.filter(bool)))
     def test_ratfun_round_trip(self, r):
-        assert lower_ratfun(parse(render(r))) == r
+        assert lower_ratfun(parse(str(r))) == r
