@@ -319,7 +319,6 @@ class TestPlot:
         assert root.get("width") == "400"
         assert root.get("height") == "300"
 
-
     @pytest.mark.parametrize("size", ["0x0", "-5x-5", "80x600", "800x65"])
     def test_size_without_plot_area_is_an_input_error(self, capsys, tmp_path, size):
         out_svg = tmp_path / "x.svg"
