@@ -12,6 +12,7 @@ tangent certificate failed to re-verify, which should never happen).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -300,7 +301,13 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    Sharing it is safe because ``parse_args`` leaves the parser as it was
+    and fills a fresh namespace on every call.
+    """
     ap = argparse.ArgumentParser(
         prog="polytangent",
         description="Tangents and derivatives of polynomials by the double-root "
@@ -324,26 +331,36 @@ def _raw_inputs(args) -> dict:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    code, error = 0, None
+    # Exact results may run past Python's 4,300-digit int-to-str limit, which
+    # guards parsers of untrusted text; lift it for this call only.  Python
+    # 3.10.0-3.10.6 have no limit.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
-        inputs, result, lines = COMMANDS[args.command].handler(args)
-    except CertificateError as exc:
-        code, error = 3, str(exc)
-    except _INPUT_ERRORS as exc:
-        code, error = 2, str(exc)
-    if code:
-        inputs, result, lines = _raw_inputs(args), None, [f"error: {error}"]
-    env = {
-        "command": args.command,
-        "inputs": inputs,
-        "result": result,
-        "status": "error" if code else "ok",
-        "error": error,
-    }
-    payload = json.dumps(env, indent=2) + "\n" if args.json else "\n".join(lines) + "\n"
-    if args.output:
-        Path(args.output).write_text(payload, encoding="utf-8")
-    else:
-        sys.stdout.write(payload)
-    return code
+        args = build_parser().parse_args(argv)
+        code, error = 0, None
+        try:
+            inputs, result, lines = COMMANDS[args.command].handler(args)
+        except CertificateError as exc:
+            code, error = 3, str(exc)
+        except _INPUT_ERRORS as exc:
+            code, error = 2, str(exc)
+        if code:
+            inputs, result, lines = _raw_inputs(args), None, [f"error: {error}"]
+        env = {
+            "command": args.command,
+            "inputs": inputs,
+            "result": result,
+            "status": "error" if code else "ok",
+            "error": error,
+        }
+        payload = json.dumps(env, indent=2) + "\n" if args.json else "\n".join(lines) + "\n"
+        if args.output:
+            Path(args.output).write_text(payload, encoding="utf-8")
+        else:
+            sys.stdout.write(payload)
+        return code
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)

@@ -11,6 +11,7 @@ pure function of the inputs.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .decomposition import differential, increment
 from .polynomial import Polynomial
@@ -36,6 +37,34 @@ NSS = 'vector-effect="non-scaling-stroke"'
 
 def _fmt(value: float) -> str:
     return repr(float(value))
+
+
+def _sample_curve(f: Polynomial, lo: Fraction, hi: Fraction, samples: int) -> list:
+    """(float(x), float(f(x))) at `samples` evenly spaced x from lo to hi.
+
+    Exact, but in integers: every x is a / c over one denominator c, f's
+    coefficients are n_k / d, and f(a/c) = sum n_k a^k c^(N-k) / (d c^N).
+    An int/int true division rounds correctly, as float(Fraction) does, so
+    the floats equal those of evaluating f at each Fraction x.
+    """
+    steps = samples - 1
+    den = lcm(lo.denominator, hi.denominator)
+    a_lo, a_hi = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
+    c = den * steps
+    d = lcm(*(coeff.denominator for coeff in f.coeffs))
+    top = max(len(f.coeffs) - 1, 0)
+    scaled = [coeff.numerator * (d // coeff.denominator) * c ** (top - k)
+              for k, coeff in enumerate(f.coeffs)]
+    scaled.reverse()
+    y_den = d * c**top
+    curve = []
+    for i in range(samples):
+        a = a_lo * steps + (a_hi - a_lo) * i
+        y = 0
+        for n in scaled:
+            y = y * a + n
+        curve.append((a / c, y / y_den))
+    return curve
 
 
 def render_figure(
@@ -71,9 +100,7 @@ def render_figure(
     tangent = tangent_at(f, p)
     k, b = tangent.slope, tangent.intercept
 
-    span = hi - lo
-    xs = [lo + span * Fraction(i, samples - 1) for i in range(samples)]
-    curve = [(float(x), float(f(x))) for x in xs]
+    curve = _sample_curve(f, lo, hi, samples)
 
     ax, ay = float(p), float(f(p))
     tangent_ends = [(float(lo), float(k * lo + b)), (float(hi), float(k * hi + b))]

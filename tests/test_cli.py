@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from contextlib import contextmanager
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -42,12 +44,35 @@ GOLDEN_CASES = [
 ]
 
 
+# The SVG each plot writes; its text output echoes the path, so it has no golden.
+PLOT_GOLDEN_CASES = [
+    ("plot-square.svg", ("plot", "x^2", "3", "--range", "0,6", "--dx", "2")),
+    ("plot-axes.svg", ("plot", "--range=-2,3/2", "--", "x^3 - 2x", "-1/3")),
+    (
+        "plot-degree8.svg",
+        (
+            "plot", "--range=-7/4,5/2", "--dx", "3/4", "--size", "640x480", "--",
+            "x^8/40 - 3x^7/20 + 2x^5/7 - x^3 + 5x/3 - 1/2", "1/2",
+        ),
+    ),
+]
+
+
 class TestGoldens:
     @pytest.mark.parametrize("name,argv", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
     def test_byte_identical(self, capsys, name, argv):
         code, out = run_cli(capsys, *argv)
         assert code == 0
         assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize(
+        "name,argv", PLOT_GOLDEN_CASES, ids=[c[0] for c in PLOT_GOLDEN_CASES]
+    )
+    def test_svg_byte_identical(self, capsys, tmp_path, name, argv):
+        out_svg = tmp_path / name
+        code, _ = run_cli(capsys, argv[0], f"--out={out_svg}", *argv[1:])
+        assert code == 0
+        assert out_svg.read_bytes() == (GOLDEN / name).read_bytes()
 
     @pytest.mark.parametrize("name,argv", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
     def test_deterministic(self, capsys, name, argv):
@@ -240,6 +265,88 @@ class TestExitCodes:
         code, out = run_cli(capsys, "--json", "tangent", "x^2", "3")
         assert code == 3
         assert json.loads(out)["status"] == "error"
+
+
+def run_each(capsys, argvs):
+    """(exit code, stdout, stderr) of each argv, in order, in this process."""
+    outputs = []
+    for argv in argvs:
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:  # argparse refused the argv
+            code = exc.code
+        captured = capsys.readouterr()
+        outputs.append((code, captured.out, captured.err))
+    return outputs
+
+
+class TestSharedParser:
+    # Each pair would differ if a call left state behind in the shared parser.
+    SEQUENCE = [
+        ("table", "x^2", "1", "--steps", "2"),
+        ("table", "x^2", "1"),
+        ("--json", "derive", "x^3"),
+        ("derive", "x^3"),
+        ("table", "x^2", "1", "--steps", "z"),
+        ("table", "x^2", "1"),
+    ]
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_reuse_matches_a_fresh_parser(self, capsys, monkeypatch):
+        shared = run_each(capsys, self.SEQUENCE)
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = run_each(capsys, self.SEQUENCE)
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [0, 0, 0, 0, 2, 0]
+        assert shared[1][1].count("\n") == 2 + 6  # two header lines, the default 6 rows
+        assert "invalid int value" in shared[4][2]
+
+
+@contextmanager
+def int_digits_unlimited():
+    """Lift the int-to-str digit limit, where this Python has one."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+class TestLargeResults:
+    def test_result_past_the_digit_limit(self, capsys):
+        code, out = run_cli(capsys, "--json", "dual", "x^600", "987654321", "1")
+        assert code == 0
+        real = json.loads(out)["result"]["real"]
+        with int_digits_unlimited():
+            assert real == str(Fraction(987654321) ** 600)
+        assert len(real) > 4300
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="this Python has no digit limit"
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("dual", "x^600", "987654321", "1"),
+            ("tangent", "x^", "3"),
+            ("table", "x", "0", "--steps", "z"),
+        ],
+        ids=["ok", "input-error", "argparse-refusal"],
+    )
+    def test_digit_limit_is_restored(self, capsys, argv):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)
+        try:
+            run_each(capsys, [argv])
+            assert sys.get_int_max_str_digits() == 5000
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def data_elements(svg_path: Path) -> dict:
