@@ -54,7 +54,6 @@ from .rules import (
 from .tangency import (
     INFINITE,
     CertificateError,
-    LocalExpansion,
     TangentLine,
     derivative,
     intersection_multiplicity,
@@ -75,7 +74,6 @@ __all__ = [
     "ElementaryFn",
     "INFINITE",
     "LinearFunction",
-    "LocalExpansion",
     "LoweringError",
     "ONE",
     "ParseError",

@@ -144,10 +144,10 @@ def _cmd_decompose(args):
 def _cmd_expand(args):
     f = _poly(args.expr)
     p = Fraction(args.p)
-    e = taylor_shift(f, p)
-    coefficients = [str(c) for c in e.coeffs]
-    polynomial = Polynomial(e.coeffs).render("t")
-    result = {"center": str(e.center), "coefficients": coefficients, "polynomial": polynomial}
+    shifted = taylor_shift(f, p)
+    coefficients = [str(c) for c in shifted.coeffs]
+    polynomial = shifted.render("t")
+    result = {"center": str(p), "coefficients": coefficients, "polynomial": polynomial}
     lines = [f"f({p} + t) = {polynomial}", f"  coefficients: {', '.join(coefficients)}"]
     return {"expr": str(f), "p": str(p)}, result, lines
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .polynomial import Polynomial
 from .rational import exact
-from .tangency import INFINITE, derivative, taylor_shift
+from .tangency import derivative, taylor_shift, valuation
 
 # Row k of a degree-n table holds numbers of about n*k digits, so the
 # cost grows faster than the row count: at degree 5 on a 2-vCPU Xeon,
@@ -79,9 +79,10 @@ def decompose(f: Polynomial, x0) -> Decomposition:
     is the value, its linear coefficient the slope, and the rest of the
     expansion (kept aligned at degree 2) is the remainder.
     """
+    x0 = exact(x0)
     expansion = taylor_shift(f, x0)
-    remainder = Polynomial((Fraction(0), Fraction(0)) + expansion.coeffs[2:])
-    return Decomposition(expansion.center, expansion.value, expansion.slope, remainder)
+    remainder = Polynomial((0, 0) + expansion.coeffs[2:])
+    return Decomposition(x0, expansion.coefficient(0), expansion.coefficient(1), remainder)
 
 
 def remainder_valuation(d: Decomposition):
@@ -89,10 +90,7 @@ def remainder_valuation(d: Decomposition):
 
     By construction this is at least 2 whenever it is finite.
     """
-    for i, c in enumerate(d.remainder.coeffs):
-        if c:
-            return i
-    return INFINITE
+    return valuation(d.remainder)
 
 
 def quotient_table(f: Polynomial, x0, steps: int) -> list[QuotientRow]:

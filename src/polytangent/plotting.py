@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .decomposition import differential, increment
+from .decomposition import increment
 from .polynomial import Polynomial
 from .rational import exact
 from .tangency import tangent_at
@@ -37,6 +37,14 @@ NSS = 'vector-effect="non-scaling-stroke"'
 
 def _fmt(value: float) -> str:
     return repr(float(value))
+
+
+def _line(name, x1, y1, x2, y2, color, width, extra="") -> str:
+    """One data-space segment; ``extra`` holds further attributes, each with a trailing space."""
+    return (
+        f'<line id="{name}" x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" '
+        f'y2="{_fmt(y2)}" stroke="{color}" stroke-width="{width}" {extra}{NSS}/>'
+    )
 
 
 def _sample_curve(f: Polynomial, lo: Fraction, hi: Fraction, samples: int) -> list:
@@ -105,16 +113,9 @@ def render_figure(
     ax, ay = float(p), float(f(p))
     tangent_ends = [(float(lo), float(k * lo + b)), (float(hi), float(k * hi + b))]
 
-    info: dict = {
-        "point": (ax, ay),
-        "slope": k,
-        "intercept": b,
-        "tangent_ends": tangent_ends,
-        "samples": samples,
-    }
+    info: dict = {"slope": k, "intercept": b, "samples": samples}
 
     ys = [y for _, y in curve] + [y for _, y in tangent_ends] + [ay]
-    annotations: list[str] = []
     label_points: list[tuple[str, float, float, str]] = []
 
     if dx is not None:
@@ -122,13 +123,11 @@ def render_figure(
         if not dx:
             raise ValueError("secant increment dx must be nonzero")
         dy_actual = increment(f, p, dx)
-        dy_linear = differential(f, p, dx)
+        dy_linear = k * dx
         bx, by = float(p + dx), float(f(p + dx))
         cy = ay  # corner of the increment triangle, (point + dx, f(point))
         dyl_y = float(f(p) + dy_linear)
         ys += [by, dyl_y]
-        info["secant_ends"] = [(ax, ay), (bx, by)]
-        info["delta_x"] = dx
         info["delta_y"] = dy_actual
         info["differential"] = dy_linear
 
@@ -152,15 +151,9 @@ def render_figure(
 
     data: list[str] = []
     if y_lo < 0 < y_hi:
-        data.append(
-            f'<line id="x-axis" x1="{_fmt(float(lo))}" y1="0.0" x2="{_fmt(float(hi))}" '
-            f'y2="0.0" stroke="#bbbbbb" stroke-width="1" {NSS}/>'
-        )
+        data.append(_line("x-axis", lo, 0, hi, 0, "#bbbbbb", 1))
     if float(lo) < 0 < float(hi):
-        data.append(
-            f'<line id="y-axis" x1="0.0" y1="{_fmt(y_lo)}" x2="0.0" '
-            f'y2="{_fmt(y_hi)}" stroke="#bbbbbb" stroke-width="1" {NSS}/>'
-        )
+        data.append(_line("y-axis", 0, y_lo, 0, y_hi, "#bbbbbb", 1))
 
     path = "M " + " L ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in curve)
     data.append(
@@ -168,30 +161,16 @@ def render_figure(
         f'stroke-width="2" {NSS}/>'
     )
     (tx1, ty1), (tx2, ty2) = tangent_ends
-    data.append(
-        f'<line id="tangent" x1="{_fmt(tx1)}" y1="{_fmt(ty1)}" x2="{_fmt(tx2)}" '
-        f'y2="{_fmt(ty2)}" stroke="{TANGENT_COLOR}" stroke-width="2" {NSS}/>'
-    )
+    data.append(_line("tangent", tx1, ty1, tx2, ty2, TANGENT_COLOR, 2))
 
     if dx is not None:
-        data.append(
-            f'<line id="secant" x1="{_fmt(ax)}" y1="{_fmt(ay)}" x2="{_fmt(bx)}" '
-            f'y2="{_fmt(by)}" stroke="{SECANT_COLOR}" stroke-width="2" {NSS}/>'
-        )
-        data.append(
-            f'<line id="delta-x" x1="{_fmt(ax)}" y1="{_fmt(cy)}" x2="{_fmt(bx)}" '
-            f'y2="{_fmt(cy)}" stroke="{ANNOTATION_COLOR}" stroke-width="1.5" '
-            f'stroke-dasharray="6 4" {NSS}/>'
-        )
-        data.append(
-            f'<line id="delta-y" x1="{_fmt(bx)}" y1="{_fmt(cy)}" x2="{_fmt(bx)}" '
-            f'y2="{_fmt(by)}" stroke="{ANNOTATION_COLOR}" stroke-width="1.5" '
-            f'stroke-dasharray="6 4" {NSS}/>'
-        )
-        data.append(
-            f'<line id="differential" x1="{_fmt(bx)}" y1="{_fmt(cy)}" x2="{_fmt(bx)}" '
-            f'y2="{_fmt(dyl_y)}" stroke="{DIFFERENTIAL_COLOR}" stroke-width="3" {NSS}/>'
-        )
+        dashed = 'stroke-dasharray="6 4" '
+        data += [
+            _line("secant", ax, ay, bx, by, SECANT_COLOR, 2),
+            _line("delta-x", ax, cy, bx, cy, ANNOTATION_COLOR, 1.5, dashed),
+            _line("delta-y", bx, cy, bx, by, ANNOTATION_COLOR, 1.5, dashed),
+            _line("differential", bx, cy, bx, dyl_y, DIFFERENTIAL_COLOR, 3),
+        ]
         label_points += [
             ("B", px(bx) + 8, py(by) - 6, SECANT_COLOR),
             ("Δx", (px(ax) + px(bx)) / 2, py(cy) + 16, ANNOTATION_COLOR),

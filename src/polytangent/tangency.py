@@ -5,12 +5,11 @@ A line y = k*x + b is tangent to a polynomial f at x = p exactly when
 
     f(x) - (k*x + b) = (x - p)**2 * Q(x)
 
-for some cofactor polynomial Q.  Rewriting f in powers of t = x - p
-makes the unique such line explicit: the slope is the linear
-coefficient of the local expansion, the intercept follows from passing
-through (p, f(p)), and Q is the re-expanded tail.  Every constructed
-tangent carries its cofactor, and the factorization above is re-checked
-by exact multiplication before the tangent is returned.
+for some cofactor polynomial Q.  Read the other way, this is division
+with remainder: the tangent is f mod (x - p)**2, the unique polynomial
+of degree below 2 left over, and the cofactor Q is the quotient.  Every
+constructed tangent carries its cofactor, and the factorization above is
+re-checked by exact multiplication before the tangent is returned.
 
 Letting p vary produces the derivative as a function.  It is generated
 here in one pass by evaluating f at the dual element x + eps over the
@@ -49,24 +48,6 @@ class CertificateError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class LocalExpansion:
-    """f rewritten in powers of t = x - center: f(center + t) = sum coeffs[i] * t**i."""
-
-    center: Fraction
-    coeffs: tuple[Fraction, ...]
-
-    @property
-    def value(self) -> Fraction:
-        """f(center), the constant coefficient."""
-        return self.coeffs[0] if self.coeffs else Fraction(0)
-
-    @property
-    def slope(self) -> Fraction:
-        """The linear coefficient, which is the tangent slope at the center."""
-        return self.coeffs[1] if len(self.coeffs) > 1 else Fraction(0)
-
-
-@dataclass(frozen=True)
 class TangentLine:
     """The tangent to a polynomial at ``point``, with its divisibility certificate.
 
@@ -87,8 +68,8 @@ class TangentLine:
         return self.line.equation()
 
 
-def taylor_shift(f: Polynomial, center) -> LocalExpansion:
-    """Exact coefficients of f(center + t), by repeated synthetic division.
+def taylor_shift(f: Polynomial, center) -> Polynomial:
+    """f(center + t) as a polynomial in t, by repeated synthetic division.
 
     In-place Horner-style updates, O(n**2) exact operations; the
     leading coefficient is unchanged.
@@ -99,7 +80,12 @@ def taylor_shift(f: Polynomial, center) -> LocalExpansion:
     for i in range(n):
         for j in range(n - 2, i - 1, -1):
             cs[j] += p * cs[j + 1]
-    return LocalExpansion(p, tuple(cs))
+    return Polynomial(cs)
+
+
+def valuation(g: Polynomial):
+    """Index of the lowest nonzero coefficient of g; INFINITE when g is zero."""
+    return next((i for i, c in enumerate(g.coeffs) if c), INFINITE)
 
 
 def intersection_multiplicity(f: Polynomial, line: LinearFunction, point):
@@ -108,14 +94,7 @@ def intersection_multiplicity(f: Polynomial, line: LinearFunction, point):
     m = 0 means the line misses (point, f(point)); m = 1 is a plain
     crossing; m >= 2 is tangency.
     """
-    difference = f - line.as_polynomial()
-    if not difference:
-        return INFINITE
-    shifted = taylor_shift(difference, point).coeffs
-    m = 0
-    while not shifted[m]:
-        m += 1
-    return m
+    return valuation(taylor_shift(f - line.as_polynomial(), point))
 
 
 def is_tangent(f: Polynomial, line: LinearFunction, point) -> bool:
@@ -130,20 +109,18 @@ def is_tangent(f: Polynomial, line: LinearFunction, point) -> bool:
 def tangent_at(f: Polynomial, point) -> TangentLine:
     """Construct the unique tangent to f at the given abscissa.
 
-    From the local expansion f(p + t) = c0 + c1*t + t**2 * T(t):
-    slope k = c1, intercept b = c0 - c1*p, and the cofactor Q is T
-    re-expanded in x.  The factorization f - (k*x + b) =
-    (x - p)**2 * Q is re-verified by multiplication before returning.
+    The tangent is f mod (x - p)**2: dividing f by (x - p)**2 leaves
+    the remainder k*x + b, which is the tangent line, and the quotient
+    Q, which is the cofactor.  The factorization f - (k*x + b) =
+    (x - p)**2 * Q is re-verified by multiplication, with (x - p)**2
+    built again rather than reused from the division, before returning.
 
     Degenerate inputs are fine: constants get their own horizontal
     line, the zero polynomial gets y = 0, both with a zero cofactor.
     """
     p = exact(point)
-    expansion = taylor_shift(f, p)
-    k = expansion.slope
-    b = expansion.value - k * p
-    tail = Polynomial(expansion.coeffs[2:])  # still in powers of t = x - p
-    cofactor = tail(X - p)
+    cofactor, line = divmod(f, Polynomial((p * p, -2 * p, 1)))
+    k, b = line.coefficient(1), line.coefficient(0)
     if (X - p) ** 2 * cofactor + Polynomial((b, k)) != f:
         raise CertificateError(
             f"tangent certificate failed for f = {f} at p = {p}"

@@ -1,8 +1,9 @@
 """Seeded random generators and independent oracles shared by the tests.
 
 The oracles deliberately take different routes than the code under
-test: the power rule is applied coefficient by coefficient, and local
-expansions are recomputed by binomial expansion of (p + t)**i.
+test: the power rule is applied coefficient by coefficient, local
+expansions are recomputed by binomial expansion of (p + t)**i, and
+tangents are read off those expansions instead of by division.
 """
 
 from __future__ import annotations
@@ -48,3 +49,13 @@ def binomial_shift(f: Polynomial, p: Fraction) -> tuple[Fraction, ...]:
     for i, c in enumerate(f.coeffs):
         total = total + base**i * c
     return total.coeffs
+
+
+def expansion_tangent(f: Polynomial, p: Fraction) -> tuple[Fraction, Fraction, Polynomial]:
+    """Independent oracle for tangents: (slope, intercept, cofactor) from f(p + t).
+
+    With f(p + t) = c0 + c1*t + t**2 * T(t), the slope is c1, the
+    intercept c0 - c1*p, and the cofactor is T composed with x - p.
+    """
+    c = binomial_shift(f, p) + (Fraction(0), Fraction(0))
+    return c[1], c[0] - c[1] * p, Polynomial(c[2:])(Polynomial((-p, 1)))

@@ -14,7 +14,8 @@ import pytest
 import polytangent
 from polytangent import cli
 from polytangent.decomposition import MAX_STEPS
-from polytangent.tangency import CertificateError
+from polytangent.polynomial import Polynomial, X
+from polytangent.tangency import CertificateError, tangent_at
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -263,6 +264,20 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "tangent_at", explode)
         code, out = run_cli(capsys, "--json", "tangent", "x^2", "3")
+        assert code == 3
+        assert json.loads(out)["status"] == "error"
+
+    def test_recheck_catches_a_wrong_quotient(self, capsys, monkeypatch):
+        divide = Polynomial.__divmod__
+
+        def corrupted(f, g):
+            q, r = divide(f, g)
+            return q + 1, r
+
+        monkeypatch.setattr(Polynomial, "__divmod__", corrupted)
+        with pytest.raises(CertificateError):
+            tangent_at(X**3, 2)
+        code, out = run_cli(capsys, "--json", "tangent", "x^3", "2")
         assert code == 3
         assert json.loads(out)["status"] == "error"
 

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from polytangent.polynomial import ONE, X, ZERO, LinearFunction, Polynomial, RationalFunction
@@ -18,7 +18,13 @@ from polytangent.tangency import (
     tangent_at,
     taylor_shift,
 )
-from support import binomial_shift, power_rule_derivative, rand_polynomial, rand_rational
+from support import (
+    binomial_shift,
+    expansion_tangent,
+    power_rule_derivative,
+    rand_polynomial,
+    rand_rational,
+)
 
 coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 polys = st.builds(Polynomial, st.lists(coeffs, max_size=9))
@@ -38,8 +44,8 @@ class TestTaylorShift:
     def test_zero_polynomial(self):
         e = taylor_shift(ZERO, 2)
         assert e.coeffs == ()
-        assert e.value == 0
-        assert e.slope == 0
+        assert e.coefficient(0) == 0
+        assert e.coefficient(1) == 0
 
     @given(polys, points)
     def test_matches_binomial_expansion(self, f, p):
@@ -48,7 +54,7 @@ class TestTaylorShift:
     @given(polys, points)
     def test_constant_term_is_the_value(self, f, p):
         e = taylor_shift(f, p)
-        assert e.value == f(p)
+        assert e.coefficient(0) == f(p)
         if f:
             assert len(e.coeffs) == f.degree + 1
 
@@ -114,6 +120,14 @@ class TestTangentAt:
     def test_certificate(self, f, p):
         t = tangent_at(f, p)
         assert (X - p) ** 2 * t.cofactor + t.line.as_polynomial() == f
+
+    @given(polys, points)
+    @example(ZERO, Fraction(3))
+    @example(Polynomial([5]), Fraction(7))
+    @example(2 * X + 1, Fraction(-1, 2))
+    def test_matches_expansion_oracle(self, f, p):
+        t = tangent_at(f, p)
+        assert (t.slope, t.intercept, t.cofactor) == expansion_tangent(f, p)
 
     @given(polys, points)
     def test_cofactor_degree_bound(self, f, p):
