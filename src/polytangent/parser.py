@@ -22,11 +22,10 @@ folds division by a constant into the coefficients, so ``1/2*x`` means
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polynomial import Polynomial, RationalFunction, X
+from .polynomial import ONE, Polynomial, RationalFunction, X
 
 
 class ParseError(Exception):
@@ -280,36 +279,53 @@ def _degree_bound(e: Expr) -> tuple[int, int]:
     return bound
 
 
-_RING_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
+def _mul(a: Polynomial, b: Polynomial) -> Polynomial:
+    """a * b, skipping a unit denominator factor (ONE itself) rather than multiplying by it."""
+    return a if b is ONE else b if a is ONE else a * b
 
 
-def _lower(e: Expr, leaf, divide):
-    """Fold the tree with the ring operations of the target type.
+def _fold_constant(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """(num, den), with a constant den folded into num so that den is ONE or has x."""
+    if den.degree:
+        return num, den
+    scale = den.coeffs[0]
+    return (num if scale == 1 else num * (Fraction(1) / scale)), ONE
 
-    ``leaf`` lifts a constant or x (as a Polynomial) into the target and
-    ``divide`` divides two target values, the divisor known nonzero.
+
+def _lower(e: Expr, poly: bool) -> tuple[Polynomial, Polynomial]:
+    """Fold the tree into an unreduced pair (num, den) whose quotient is e.
+
+    den is ONE itself or has x in it, so a polynomial lowers to (p, ONE).
+    With ``poly`` set, a divisor with x in it raises LoweringError.  A
+    power reduces its base first: gcd(a, b) = 1 gives gcd(a**n, b**n) = 1.
     """
     if isinstance(e, Number):
-        return leaf(Polynomial((e.value,)))
+        return Polynomial((e.value,)), ONE
     if isinstance(e, Var):
-        return leaf(X)
+        return X, ONE
     if isinstance(e, Neg):
-        return -_lower(e.operand, leaf, divide)
+        num, den = _lower(e.operand, poly)
+        return -num, den
     if isinstance(e, Pow):
-        return _lower(e.base, leaf, divide) ** e.exponent
-    left = _lower(e.left, leaf, divide)
-    right = _lower(e.right, leaf, divide)
-    if not isinstance(e, Div):
-        return _RING_OPS[type(e)](left, right)
-    if not right:
-        raise LoweringError("division by zero")
-    return divide(left, right)
-
-
-def _divide_poly(num: Polynomial, den: Polynomial) -> Polynomial:
-    if den.degree >= 1:
-        raise LoweringError("x in a denominator: not a polynomial")
-    return num * (Fraction(1) / den.coeffs[0])
+        num, den = _lower(e.base, poly)
+        if den is ONE:
+            return num**e.exponent, ONE
+        base = RationalFunction(num, den)
+        return _fold_constant(base.num**e.exponent, base.den**e.exponent)
+    n1, d1 = _lower(e.left, poly)
+    n2, d2 = _lower(e.right, poly)
+    if isinstance(e, Mul):
+        return _mul(n1, n2), _mul(d1, d2)
+    if isinstance(e, Div):
+        if not n2:
+            raise LoweringError("division by zero")
+        if poly and n2.degree:
+            raise LoweringError("x in a denominator: not a polynomial")
+        return _fold_constant(_mul(n1, d2), _mul(d1, n2))
+    # a/b +- c/d = (a*d +- c*b)/(b*d), or (a +- c)/b when b = d
+    if d1 != d2:
+        n1, n2, d1 = _mul(n1, d2), _mul(n2, d1), _mul(d1, d2)
+    return (n1 + n2 if isinstance(e, Add) else n1 - n2), d1
 
 
 def lower_poly(e: Expr) -> Polynomial:
@@ -322,13 +338,16 @@ def lower_poly(e: Expr) -> Polynomial:
     LoweringError before any arithmetic.
     """
     _degree_bound(e)
-    return _lower(e, lambda p: p, _divide_poly)
+    return _lower(e, poly=True)[0]
 
 
 def lower_ratfun(e: Expr) -> RationalFunction:
-    """Evaluate the tree to a canonical RationalFunction by field arithmetic.
+    """Evaluate the tree to a canonical RationalFunction.
 
-    Like lower_poly, refuses a tree whose degree may exceed MAX_DEGREE.
+    The tree folds into one unreduced numerator and denominator, which
+    are reduced once, at the root (and at a power of a base with x in
+    its denominator).  Like lower_poly, refuses a tree whose degree may
+    exceed MAX_DEGREE, and raises LoweringError on a division by zero.
     """
     _degree_bound(e)
-    return _lower(e, RationalFunction, RationalFunction.__truediv__)
+    return RationalFunction(*_lower(e, poly=False))

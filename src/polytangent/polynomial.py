@@ -6,8 +6,11 @@ coefficient.  The zero polynomial is the empty sequence and its degree
 is ``None`` rather than any number, so degree arithmetic can never
 silently use a bogus -1.
 
-Arithmetic is exact schoolbook arithmetic.  The degrees involved are
-small, so clarity wins over asymptotics.
+Arithmetic is exact schoolbook arithmetic on polynomials.  A
+:class:`RationalFunction` is a canonical value only: the arithmetic of
+rational expressions happens on numerator and denominator polynomials
+while ``parser.lower_ratfun`` lowers a tree, and the result is reduced
+once.
 """
 
 from __future__ import annotations
@@ -250,17 +253,22 @@ class LinearFunction:
 
 
 class RationalFunction:
-    """A quotient num/den of polynomials, kept in canonical form.
+    """A quotient num/den of polynomials as a canonical value.
 
-    Canonical means gcd(num, den) = 1 and den monic; zero is 0/1.  With
-    that normalization, equality is plain structural equality.
+    Construction reduces: gcd(num, den) = 1 and den monic; zero is 0/1.
+    With that normalization, equality with another RationalFunction is
+    plain structural equality.  A Polynomial p never equals
+    RationalFunction(p).  There is no arithmetic here: build a rational
+    expression's numerator and denominator as polynomials (as
+    ``parser.lower_ratfun`` does) and construct the value once.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=ONE):
-        num = _to_polynomial(num)
-        den = _to_polynomial(den)
+        num, den = _coerce(num), _coerce(den)
+        if num is None or den is None:
+            raise TypeError("a rational function is built from polynomials or exact scalars")
         if not den:
             raise ZeroDivisionError("rational function with zero denominator")
         if not num:
@@ -273,68 +281,12 @@ class RationalFunction:
         self.den = den * scale
 
     def __eq__(self, other) -> bool:
-        other = _to_ratfun(other)
-        if other is None:
+        if not isinstance(other, RationalFunction):
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
         return hash((self.num, self.den))
-
-    def __bool__(self) -> bool:
-        return bool(self.num)
-
-    def __add__(self, other):
-        other = _to_ratfun(other)
-        if other is None:
-            return NotImplemented
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other):
-        other = _to_ratfun(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _to_ratfun(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = _to_ratfun(other)
-        if other is None:
-            return NotImplemented
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _to_ratfun(other)
-        if other is None:
-            return NotImplemented
-        if not other.num:
-            raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        other = _to_ratfun(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("rational-function exponents must be non-negative integers")
-        return RationalFunction(self.num**exponent, self.den**exponent)
 
     def __str__(self) -> str:
         if self.den == ONE:
@@ -351,29 +303,6 @@ class RationalFunction:
         return f"RationalFunction({self.num!r}, {self.den!r})"
 
 
-def _to_polynomial(value) -> Polynomial:
-    p = _coerce(value)
-    if p is None:
-        raise TypeError(f"cannot interpret {value!r} as a polynomial")
-    return p
-
-
-def _to_ratfun(value) -> RationalFunction | None:
-    if isinstance(value, RationalFunction):
-        return value
-    if isinstance(value, (Polynomial, int, Fraction)):
-        return RationalFunction(value)
-    return None
-
-
 def _multi_term(p: Polynomial) -> bool:
     return sum(1 for c in p.coeffs if c) > 1
 
-
-def cross_multiplied_equal(a: RationalFunction, b: RationalFunction) -> bool:
-    """Equality by cross multiplication: a.num*b.den == b.num*a.den.
-
-    Agrees with structural equality of canonical forms; kept as the
-    independent fallback check.
-    """
-    return a.num * b.den == b.num * a.den

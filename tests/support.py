@@ -2,8 +2,10 @@
 
 The oracles deliberately take different routes than the code under
 test: the power rule is applied coefficient by coefficient, local
-expansions are recomputed by binomial expansion of (p + t)**i, and
-tangents are read off those expansions instead of by division.
+expansions are recomputed by binomial expansion of (p + t)**i,
+tangents are read off those expansions instead of by division, and
+rational functions are compared by cross multiplication instead of by
+their canonical forms.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from polytangent.polynomial import Polynomial
+from polytangent.polynomial import Polynomial, RationalFunction
 
 
 def rand_rational(rng: random.Random, num_lo=-9, num_hi=9, den_hi=9) -> Fraction:
@@ -59,3 +61,8 @@ def expansion_tangent(f: Polynomial, p: Fraction) -> tuple[Fraction, Fraction, P
     """
     c = binomial_shift(f, p) + (Fraction(0), Fraction(0))
     return c[1], c[0] - c[1] * p, Polynomial(c[2:])(Polynomial((-p, 1)))
+
+
+def cross_multiplied_equal(a: RationalFunction, b: RationalFunction) -> bool:
+    """Independent oracle for canonical equality: a.num*b.den == b.num*a.den."""
+    return a.num * b.den == b.num * a.den

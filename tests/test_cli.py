@@ -33,6 +33,8 @@ GOLDEN_CASES = [
     ("table.json", ("--json", "table", "x^2", "3", "--steps", "3")),
     ("tangent.txt", ("tangent", "x^3 - 2*x", "1/2")),
     ("derive.txt", ("derive", "(x^2+1)/(x-1)")),
+    ("derive-ratfun.json", ("--json", "derive", "(x^2 - 1)/(x - 1)^2 + 1/x")),
+    ("derive-ratfun.txt", ("derive", "(x^2 - 1)/(x - 1)^2 + 1/x")),
     ("check.txt", ("check", "x^3", "1", "0", "1")),
     ("check-tangent.txt", ("check", "x^2", "6", "-9", "3")),
     ("mult.txt", ("mult", "x^2", "6", "-9", "3")),
@@ -123,6 +125,22 @@ class TestCommands:
         _, out = run_cli(capsys, "--json", "derive", "1/x")
         r = json.loads(out)["result"]
         assert r == {"kind": "rational_function", "derivative": "-1/x^2"}
+
+    @pytest.mark.parametrize(
+        "expr,kind,derivative",
+        [
+            # x in a divisor makes a rational function, whatever the value reduces to
+            ("1/(1/x)", "rational_function", "1"),
+            ("x/x", "rational_function", "0"),
+            ("1/(2/x)", "rational_function", "1/2"),
+            ("1/(1/(1/x))", "rational_function", "-1/x^2"),
+            ("x/(x - x + 2)", "polynomial", "1/2"),
+            ("1/x^0", "polynomial", "0"),
+        ],
+    )
+    def test_derive_kind_follows_the_divisors(self, capsys, expr, kind, derivative):
+        _, out = run_cli(capsys, "--json", "derive", expr)
+        assert json.loads(out)["result"] == {"kind": kind, "derivative": derivative}
 
     def test_check_tangent_line(self, capsys):
         _, out = run_cli(capsys, "--json", "check", "x^2", "6", "-9", "3")

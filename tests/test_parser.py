@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from polytangent.parser import (
@@ -24,6 +24,18 @@ from polytangent.polynomial import ONE, X, Polynomial, RationalFunction
 
 coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 polys = st.builds(Polynomial, st.lists(coeffs, max_size=11))
+small_polys = st.builds(Polynomial, st.lists(coeffs, max_size=6))
+ratfuns = st.builds(RationalFunction, small_polys, small_polys.filter(bool))
+
+
+def cross_multiplied(r: RationalFunction, op: str, s: RationalFunction) -> RationalFunction:
+    """r op s from one cross multiplication of the canonical pairs."""
+    a, b, c, d = r.num, r.den, s.num, s.den
+    if op == "*":
+        return RationalFunction(a * c, b * d)
+    if op == "/":
+        return RationalFunction(a * d, b * c)
+    return RationalFunction(a * d + c * b if op == "+" else a * d - c * b, b * d)
 
 
 class TestParse:
@@ -120,6 +132,8 @@ class TestLowerRatfun:
 
     def test_canonical_reduction(self):
         assert lower_ratfun(parse("(x^2-1)/(x-1)")) == RationalFunction(X + 1)
+        # the base of a power is reduced before it is raised
+        assert lower_ratfun(parse("((x^2-1)/(x-1))^300")) == RationalFunction((X + 1) ** 300)
 
     def test_division_by_zero(self):
         with pytest.raises(LoweringError):
@@ -130,6 +144,17 @@ class TestLowerRatfun:
     def test_field_arithmetic(self):
         assert lower_ratfun(parse("1/x + 1/x")) == RationalFunction(Polynomial([2]), X)
         assert lower_ratfun(parse("(1/x)*x")) == RationalFunction(ONE)
+
+    @given(ratfuns, st.sampled_from("+-*/"), ratfuns)
+    @example(RationalFunction(ONE, X), "/", RationalFunction(Polynomial()))
+    @example(RationalFunction(ONE, X), "-", RationalFunction(ONE, X))
+    def test_ring_operations_match_cross_multiplication(self, r, op, s):
+        tree = parse(f"({r}) {op} ({s})")
+        if op == "/" and not s.num:
+            with pytest.raises(LoweringError, match="division by zero"):
+                lower_ratfun(tree)
+        else:
+            assert lower_ratfun(tree) == cross_multiplied(r, op, s)
 
 
 class TestDegreeBound:
