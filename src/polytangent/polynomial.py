@@ -4,7 +4,8 @@ A :class:`Polynomial` is an immutable sequence of ``Fraction``
 coefficients, ``coeffs[i]`` multiplying ``x**i``, with no trailing zero
 coefficient.  The zero polynomial is the empty sequence and its degree
 is ``None`` rather than any number, so degree arithmetic can never
-silently use a bogus -1.
+silently use a bogus -1.  Coefficients are validated once, at the public
+constructor; ring operations trust the ``Fraction``s they compute.
 
 Arithmetic is exact schoolbook arithmetic on polynomials.  A
 :class:`RationalFunction` is a canonical value only: the arithmetic of
@@ -35,6 +36,15 @@ class Polynomial:
             cs.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
 
+    @classmethod
+    def _trusted(cls, cs: list[Fraction]) -> "Polynomial":
+        """Build from a list already holding Fractions: trim it, skip ``exact``."""
+        while cs and not cs[-1]:
+            cs.pop()
+        p = object.__new__(cls)
+        p.coeffs = tuple(cs)
+        return p
+
     # -- structure ------------------------------------------------------
 
     @property
@@ -58,7 +68,8 @@ class Polynomial:
         return bool(self.coeffs)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # A constant equals its scalar (ZERO == 0), so it hashes as one.
+        return hash(self.coefficient(0) if len(self.coeffs) <= 1 else self.coeffs)
 
     def __eq__(self, other) -> bool:
         other = _coerce(other)
@@ -78,12 +89,12 @@ class Polynomial:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return Polynomial(out)
+        return Polynomial._trusted(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(-c for c in self.coeffs)
+        return Polynomial._trusted([-c for c in self.coeffs])
 
     def __sub__(self, other) -> "Polynomial":
         other = _coerce(other)
@@ -99,7 +110,7 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
-            return Polynomial(c * other for c in self.coeffs)
+            return Polynomial._trusted([c * other for c in self.coeffs])
         other = _coerce(other)
         if other is None:
             return NotImplemented
@@ -110,7 +121,7 @@ class Polynomial:
             if a:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
-        return Polynomial(out)
+        return Polynomial._trusted(out)
 
     __rmul__ = __mul__
 
@@ -147,7 +158,7 @@ class Polynomial:
                 quot[i] = c
                 for j, d in enumerate(den):
                     rem[i + j] -= c * d
-        return Polynomial(quot), Polynomial(rem[: len(den) - 1])
+        return Polynomial._trusted(quot), Polynomial._trusted(rem[: len(den) - 1])
 
     def __floordiv__(self, other) -> "Polynomial":
         return divmod(self, other)[0]
@@ -274,11 +285,18 @@ class RationalFunction:
         if not num:
             self.num, self.den = ZERO, ONE
             return
-        common = polynomial_gcd(num, den)
-        num, den = num // common, den // common
+        if den.degree and (common := polynomial_gcd(num, den)).degree:
+            num, den = num // common, den // common
         scale = Fraction(1) / den.leading_coefficient
         self.num = num * scale
         self.den = den * scale
+
+    @classmethod
+    def _canonical(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
+        """Wrap a pair already in canonical form, with no gcd."""
+        r = object.__new__(cls)
+        r.num, r.den = num, den
+        return r
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalFunction):

@@ -31,6 +31,7 @@ from .polynomial import (
     Polynomial,
     RationalFunction,
     X,
+    polynomial_gcd,
 )
 from .rational import exact
 
@@ -80,7 +81,7 @@ def taylor_shift(f: Polynomial, center) -> Polynomial:
     for i in range(n):
         for j in range(n - 2, i - 1, -1):
             cs[j] += p * cs[j + 1]
-    return Polynomial(cs)
+    return Polynomial._trusted(cs)
 
 
 def valuation(g: Polynomial):
@@ -140,6 +141,17 @@ def derivative(f: Polynomial) -> Polynomial:
 
 
 def ratfun_derivative(r: RationalFunction) -> RationalFunction:
-    """Quotient rule on a canonical rational function: (f'g - fg')/g**2."""
+    """Quotient rule on a canonical f/g, taken in reduced form.
+
+    With h = gcd(g, g') and s = g/h, (f/g)' = (f'*s - f*(g'/h)) / (g*s),
+    already canonical: if p**e exactly divides g (p irreducible), p**(e-1)
+    exactly divides g' and h, so p divides f'*s but, as p does not divide
+    f, not f*(g'/h) nor the numerator; and g*s is monic.  One Euclid on
+    (g, g') replaces the one on (f'g - fg', g**2).
+    """
     f, g = r.num, r.den
-    return RationalFunction(derivative(f) * g - f * derivative(g), g * g)
+    dg = derivative(g)
+    h = polynomial_gcd(g, dg)
+    s = g // h
+    num = derivative(f) * s - f * (dg // h)
+    return RationalFunction._canonical(num, g * s)

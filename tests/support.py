@@ -3,9 +3,10 @@
 The oracles deliberately take different routes than the code under
 test: the power rule is applied coefficient by coefficient, local
 expansions are recomputed by binomial expansion of (p + t)**i,
-tangents are read off those expansions instead of by division, and
+tangents are read off those expansions instead of by division,
 rational functions are compared by cross multiplication instead of by
-their canonical forms.
+their canonical forms, and tangent certificates are checked by plain
+``Fraction`` evaluation instead of by polynomial arithmetic.
 """
 
 from __future__ import annotations
@@ -66,3 +67,28 @@ def expansion_tangent(f: Polynomial, p: Fraction) -> tuple[Fraction, Fraction, P
 def cross_multiplied_equal(a: RationalFunction, b: RationalFunction) -> bool:
     """Independent oracle for canonical equality: a.num*b.den == b.num*a.den."""
     return a.num * b.den == b.num * a.den
+
+
+def _horner(coeffs, x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def certificate_holds(f: Polynomial, k, b, p, cofactor: Polynomial) -> bool:
+    """Independent certificate check: f(x) - (k*x + b) == (x - p)**2 * cofactor(x).
+
+    Reads only ``.coeffs`` and evaluates both sides with plain Fraction
+    Horner, sharing no arithmetic with ``polynomial.py``.  Both sides have
+    degree at most n = max(deg f, deg cofactor + 2, 1), and two such
+    polynomials that agree at n + 1 distinct points are equal, so this
+    is an exact identity test, not a probabilistic one.
+    """
+    k, b, p = Fraction(k), Fraction(b), Fraction(p)
+    n = max(len(f.coeffs) - 1, len(cofactor.coeffs) + 1, 1)
+    for i in range(n + 1):
+        x = Fraction(2 * i - n, 3)
+        if _horner(f.coeffs, x) - (k * x + b) != (x - p) ** 2 * _horner(cofactor.coeffs, x):
+            return False
+    return True

@@ -20,7 +20,7 @@ from polytangent.parser import ParseError, lower_poly, parse
 from polytangent.polynomial import X, LinearFunction, Polynomial
 from polytangent.rules import verify_chain, verify_product, verify_quotient, verify_sum
 from polytangent.tangency import INFINITE, derivative, is_tangent, tangent_at
-from support import rand_nonzero_polynomial, rand_polynomial, rand_rational
+from support import certificate_holds, rand_nonzero_polynomial, rand_polynomial, rand_rational
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -57,6 +57,7 @@ def test_c03_tangency_certificates_reconstruct():
         t = tangent_at(f, p)
         rebuilt = (X - p) ** 2 * t.cofactor + Polynomial([t.intercept, t.slope])
         assert rebuilt == f
+        assert certificate_holds(f, t.slope, t.intercept, p, t.cofactor)
     ok("criterion 3: 1000 random certificates reconstruct f exactly, zero failures")
 
 

@@ -15,6 +15,7 @@ from polytangent.polynomial import (
     RationalFunction,
     polynomial_gcd,
 )
+from polytangent.tangency import taylor_shift
 from support import cross_multiplied_equal
 
 coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=9)
@@ -45,6 +46,41 @@ class TestStructure:
     def test_normalized_leading_coefficient(self, f):
         if f:
             assert f.coeffs[-1] != 0
+
+    def test_constants_hash_as_their_scalars(self):
+        assert Polynomial((3,)) == 3 and hash(Polynomial((3,))) == hash(3)
+        assert ZERO == 0 and hash(ZERO) == hash(0) == hash(Fraction(0))
+        assert len({3, Polynomial((3,))}) == 1
+        assert len({0, Fraction(0), ZERO}) == 1
+
+    @given(polys)
+    def test_hash_agrees_with_equality(self, f):
+        assert hash(f) == hash(Polynomial(f.coeffs))
+        if len(f.coeffs) <= 1:
+            assert hash(f) == hash(f.coefficient(0))
+        else:
+            assert hash(f) == hash(f.coeffs)
+
+
+def assert_well_formed(p: Polynomial) -> None:
+    assert all(type(c) is Fraction for c in p.coeffs)
+    assert not p.coeffs or p.coeffs[-1] != 0
+    assert p == Polynomial(p.coeffs)
+
+
+class TestResultsAreWellFormed:
+    """Ring results skip coefficient validation, so check what they hold."""
+
+    @given(polys, polys, coeffs, st.integers(-9, 9), points, st.integers(0, 4))
+    def test_every_operation(self, f, g, c, n, p, e):
+        results = [f + g, f + n, n + f, f - g, f - n, n - f, -f,
+                   f * g, f * n, n * f, f * c, c * f, f * 0, f**e, taylor_shift(f, p)]
+        if g:
+            results += divmod(f, g)
+        if f:
+            results.append(f.monic())
+        for r in results:
+            assert_well_formed(r)
 
 
 class TestRingOperations:

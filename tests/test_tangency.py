@@ -7,7 +7,15 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from polytangent.polynomial import ONE, X, ZERO, LinearFunction, Polynomial, RationalFunction
+from polytangent.polynomial import (
+    ONE,
+    X,
+    ZERO,
+    LinearFunction,
+    Polynomial,
+    RationalFunction,
+    polynomial_gcd,
+)
 from polytangent.tangency import (
     INFINITE,
     CertificateError,
@@ -20,6 +28,7 @@ from polytangent.tangency import (
 )
 from support import (
     binomial_shift,
+    certificate_holds,
     expansion_tangent,
     power_rule_derivative,
     rand_polynomial,
@@ -29,6 +38,7 @@ from support import (
 coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 polys = st.builds(Polynomial, st.lists(coeffs, max_size=9))
 points = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+small_factors = st.builds(Polynomial, st.lists(coeffs, min_size=1, max_size=3)).filter(bool)
 
 
 class TestTaylorShift:
@@ -124,6 +134,22 @@ class TestTangentAt:
     @given(polys, points)
     @example(ZERO, Fraction(3))
     @example(Polynomial([5]), Fraction(7))
+    def test_certificate_holds_independently(self, f, p):
+        t = tangent_at(f, p)
+        assert certificate_holds(f, t.slope, t.intercept, t.point, t.cofactor)
+
+    def test_independent_check_rejects_a_wrong_certificate(self):
+        f = X**3
+        t = tangent_at(f, 2)
+        assert certificate_holds(f, t.slope, t.intercept, 2, t.cofactor)
+        assert not certificate_holds(f, t.slope, t.intercept, 2, t.cofactor + 1)
+        assert not certificate_holds(f, t.slope + 1, t.intercept, 2, t.cofactor)
+        assert not certificate_holds(f, t.slope, t.intercept, 3, t.cofactor)
+        assert not certificate_holds(Polynomial([5]), 1, 5, 0, ZERO)
+
+    @given(polys, points)
+    @example(ZERO, Fraction(3))
+    @example(Polynomial([5]), Fraction(7))
     @example(2 * X + 1, Fraction(-1, 2))
     def test_matches_expansion_oracle(self, f, p):
         t = tangent_at(f, p)
@@ -194,6 +220,21 @@ class TestRatfunDerivative:
 
     def test_reducible_input(self):
         assert ratfun_derivative(RationalFunction(X**2, X)) == RationalFunction(ONE)
+
+    @given(polys, small_factors, small_factors, st.integers(0, 3), points, st.integers(0, 3))
+    @example(ZERO, ONE, Polynomial([3]), 0, Fraction(0), 0)
+    @example(Polynomial([5]), ONE, Polynomial([-2]), 2, Fraction(1), 0)
+    @example(Polynomial([5]), X + 1, ONE, 3, Fraction(-1), 2)
+    @example(X**2 + 1, ONE, X, 1, Fraction(0), 3)
+    def test_matches_full_quotient_rule(self, f, u, v, k, a, j):
+        """Against the unreduced (n'd - nd')/d**2, on denominators with repeated factors."""
+        r = RationalFunction(f, u**k * v * (X - a) ** j)
+        n, d = r.num, r.den
+        got = ratfun_derivative(r)
+        want = RationalFunction(derivative(n) * d - n * derivative(d), d * d)
+        assert (got.num, got.den, str(got)) == (want.num, want.den, str(want))
+        assert got.den.leading_coefficient == 1
+        assert polynomial_gcd(got.num, got.den) == ONE
 
 
 class TestCertificateError:
