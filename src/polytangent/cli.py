@@ -83,11 +83,11 @@ def _cmd_tangent(args):
 
 
 def _cmd_derive(args):
-    tree = parse(args.expr)
+    lowered = parse(args.expr)
     try:
-        f = lower_poly(tree)
+        f = lower_poly(lowered)
     except LoweringError:
-        f = lower_ratfun(tree)
+        f = lower_ratfun(lowered)
         kind, d = "rational_function", ratfun_derivative(f)
     else:
         kind, d = "polynomial", derivative(f)
@@ -325,9 +325,20 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _raw_inputs(args) -> dict:
-    skip = {"command", "json", "output"}
-    return {k: str(v) for k, v in vars(args).items() if k not in skip and v is not None}
+def _payload(args, error, inputs=None, result=None, lines=()) -> str:
+    """The envelope as text or JSON; an error envelope echoes the raw inputs."""
+    if error is not None:
+        skip = {"command", "json", "output"}
+        inputs = {k: str(v) for k, v in vars(args).items() if k not in skip and v is not None}
+        result, lines = None, [f"error: {error}"]
+    env = {
+        "command": args.command,
+        "inputs": inputs,
+        "result": result,
+        "status": "ok" if error is None else "error",
+        "error": error,
+    }
+    return json.dumps(env, indent=2) + "\n" if args.json else "\n".join(lines) + "\n"
 
 
 def main(argv=None) -> int:
@@ -339,27 +350,23 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
-        code, error = 0, None
         try:
-            inputs, result, lines = COMMANDS[args.command].handler(args)
+            outcome = COMMANDS[args.command].handler(args)
         except CertificateError as exc:
-            code, error = 3, str(exc)
+            code, payload = 3, _payload(args, str(exc))
         except _INPUT_ERRORS as exc:
-            code, error = 2, str(exc)
-        if code:
-            inputs, result, lines = _raw_inputs(args), None, [f"error: {error}"]
-        env = {
-            "command": args.command,
-            "inputs": inputs,
-            "result": result,
-            "status": "error" if code else "ok",
-            "error": error,
-        }
-        payload = json.dumps(env, indent=2) + "\n" if args.json else "\n".join(lines) + "\n"
-        if args.output:
-            Path(args.output).write_text(payload, encoding="utf-8")
+            code, payload = 2, _payload(args, str(exc))
         else:
-            sys.stdout.write(payload)
+            code, payload = 0, _payload(args, None, *outcome)
+        if args.output:
+            # An --output that cannot be written is an input error like any other.
+            try:
+                Path(args.output).write_text(payload, encoding="utf-8")
+            except OSError as exc:
+                code, payload = 2, _payload(args, str(exc))
+            else:
+                return code
+        sys.stdout.write(payload)
         return code
     finally:
         if limit is not None:

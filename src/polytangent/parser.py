@@ -15,8 +15,12 @@ Whitespace between tokens is ignored.  Decimal literals convert exactly
 Exponents must be literal non-negative integers, and the only variable
 is ``x``.
 
-Fractions such as ``1/2`` parse as ordinary division nodes; lowering
-folds division by a constant into the coefficients, so ``1/2*x`` means
+No syntax tree is built.  The grammar is one recursive descent that
+folds each production as it reads it, and ``parse`` runs it twice over
+the tokens: once to check the syntax and bound every degree without
+arithmetic, then once to fold the value into an unreduced numerator and
+denominator.  A fraction such as ``1/2`` is an ordinary division, and a
+constant divisor folds into the coefficients, so ``1/2*x`` means
 (1/2)*x by left associativity, matching the canonical rendering.
 """
 
@@ -49,57 +53,6 @@ MAX_DEGREE = 1024
 
 class LoweringError(Exception):
     """A well-formed expression that does not denote the requested kind of value."""
-
-
-# -- AST ------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Number:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class Var:
-    pass
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: "Expr"
-
-
-@dataclass(frozen=True)
-class Add:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Div:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: "Expr"
-    exponent: int
-
-
-Expr = Number | Var | Neg | Add | Sub | Mul | Div | Pow
 
 
 # -- lexer ------------------------------------------------------------------
@@ -158,12 +111,21 @@ def _insert_implicit_multiplication(tokens: list[Token]) -> list[Token]:
     return out
 
 
-# -- parser ------------------------------------------------------------------
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = tokenize(text)
+# -- one grammar, two folds ----------------------------------------------------
+
+
+class _Descent:
+    """The grammar, written once: a recursive descent that folds as it reads.
+
+    No tree is built.  A subclass says what each production folds to
+    (``number``, ``var``, ``neg``, ``pow`` and ``binary``), and ``parse``
+    runs two of them over the same tokens.
+    """
+
+    def __init__(self, tokens: list[Token]):
+        self.tokens = tokens
         self.i = 0
 
     def peek(self) -> Token:
@@ -174,49 +136,45 @@ class _Parser:
         self.i += 1
         return tok
 
-    def expr(self) -> Expr:
-        node = self.term()
+    def expr(self):
+        acc = self.term()
         while self.peek().kind in ("+", "-"):
-            op = self.advance()
-            right = self.term()
-            node = Add(node, right) if op.kind == "+" else Sub(node, right)
-        return node
+            acc = self.binary(self.advance().kind, acc, self.term())
+        return acc
 
-    def term(self) -> Expr:
-        node = self.unary()
+    def term(self):
+        acc = self.unary()
         while self.peek().kind in ("*", "/"):
-            op = self.advance()
-            right = self.unary()
-            node = Mul(node, right) if op.kind == "*" else Div(node, right)
-        return node
+            acc = self.binary(self.advance().kind, acc, self.unary())
+        return acc
 
-    def unary(self) -> Expr:
+    def unary(self):
         if self.peek().kind == "-":
             self.advance()
-            return Neg(self.unary())
+            return self.neg(self.unary())
         return self.power()
 
-    def power(self) -> Expr:
-        node = self.atom()
-        if self.peek().kind == "^":
-            self.advance()
-            tok = self.peek()
-            if tok.kind != "num" or tok.value.denominator != 1:
-                raise ParseError(tok.pos, "exponent must be a non-negative integer literal")
-            if tok.value > MAX_EXPONENT:
-                raise ParseError(tok.pos, f"exponent exceeds the limit of {MAX_EXPONENT}")
-            self.advance()
-            node = Pow(node, int(tok.value))
-        return node
+    def power(self):
+        base = self.atom()
+        if self.peek().kind != "^":
+            return base
+        self.advance()
+        tok = self.peek()
+        if tok.kind != "num" or tok.value.denominator != 1:
+            raise ParseError(tok.pos, "exponent must be a non-negative integer literal")
+        if tok.value > MAX_EXPONENT:
+            raise ParseError(tok.pos, f"exponent exceeds the limit of {MAX_EXPONENT}")
+        self.advance()
+        return self.pow(base, int(tok.value))
 
-    def atom(self) -> Expr:
+    def atom(self):
         tok = self.peek()
         if tok.kind == "num":
             self.advance()
-            return Number(tok.value)
+            return self.number(tok.value)
         if tok.kind == "x":
             self.advance()
-            return Var()
+            return self.var()
         if tok.kind == "(":
             self.advance()
             inner = self.expr()
@@ -234,49 +192,39 @@ def _describe(tok: Token) -> str:
     return "number" if tok.kind == "num" else f"token {tok.kind!r}"
 
 
-def parse(text: str) -> Expr:
-    """Parse an expression; raises ParseError with a byte offset on bad input."""
-    parser = _Parser(text)
-    node = parser.expr()
-    trailing = parser.peek()
-    if trailing.kind != "end":
-        raise ParseError(trailing.pos, f"unexpected {_describe(trailing)}")
-    return node
+class _Degrees(_Descent):
+    """Bounds on the (numerator, denominator) degrees of each node once lowered.
 
-
-# -- lowering ------------------------------------------------------------------
-
-
-def _degree_bound(e: Expr) -> tuple[int, int]:
-    """Bounds on the (numerator, denominator) degrees of e once lowered.
-
-    For a polynomial, whose denominator degree is 0, Add/Sub take the
-    max of their operands, Mul the sum and Pow the multiple.  Raises
-    LoweringError when the bound at any node exceeds MAX_DEGREE, so no
-    intermediate result exceeds it either.
+    The bounds are static: + and - follow a/b +- c/d = (a*d +- c*b)/(b*d),
+    * adds and ^ multiplies, whatever cancels in the values.  ``peak`` is
+    the largest bound at any node, so no intermediate result exceeds it.
     """
-    if isinstance(e, Number):
-        bound = (0, 0)
-    elif isinstance(e, Var):
-        bound = (1, 0)
-    elif isinstance(e, Neg):
-        bound = _degree_bound(e.operand)
-    elif isinstance(e, Pow):
-        n, d = _degree_bound(e.base)
-        bound = (n * e.exponent, d * e.exponent)
-    elif isinstance(e, (Add, Sub, Mul, Div)):
-        (n1, d1), (n2, d2) = _degree_bound(e.left), _degree_bound(e.right)
-        if isinstance(e, Mul):
-            bound = (n1 + n2, d1 + d2)
-        elif isinstance(e, Div):
-            bound = (n1 + d2, d1 + n2)
-        else:  # a/b +- c/d = (a*d +- c*b)/(b*d)
-            bound = (max(n1 + d2, n2 + d1), d1 + d2)
-    else:
-        raise TypeError(f"not an expression node: {e!r}")
-    if max(bound) > MAX_DEGREE:
-        raise LoweringError(f"degree of the result exceeds the limit of {MAX_DEGREE}")
-    return bound
+
+    peak = 0
+
+    def _bound(self, n: int, d: int) -> tuple[int, int]:
+        self.peak = max(self.peak, n, d)
+        return n, d
+
+    def number(self, value):
+        return 0, 0
+
+    def var(self):
+        return self._bound(1, 0)
+
+    def neg(self, a):
+        return a
+
+    def pow(self, a, k):
+        return self._bound(a[0] * k, a[1] * k)
+
+    def binary(self, op, a, b):
+        (n1, d1), (n2, d2) = a, b
+        if op == "*":
+            return self._bound(n1 + n2, d1 + d2)
+        if op == "/":
+            return self._bound(n1 + d2, d1 + n2)
+        return self._bound(max(n1 + d2, n2 + d1), d1 + d2)
 
 
 def _mul(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -292,62 +240,90 @@ def _fold_constant(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polyno
     return (num if scale == 1 else num * (Fraction(1) / scale)), ONE
 
 
-def _lower(e: Expr, poly: bool) -> tuple[Polynomial, Polynomial]:
-    """Fold the tree into an unreduced pair (num, den) whose quotient is e.
+class _Values(_Descent):
+    """The unreduced pair (num, den) whose quotient is each node.
 
-    den is ONE itself or has x in it, so a polynomial lowers to (p, ONE).
-    With ``poly`` set, a divisor with x in it raises LoweringError.  A
-    power reduces its base first: gcd(a, b) = 1 gives gcd(a**n, b**n) = 1.
+    den is ONE itself or has x in it, so a polynomial folds to (p, ONE).
+    ``x_divisor`` records whether any divisor had x in it.  A power
+    reduces its base first: gcd(a, b) = 1 gives gcd(a**n, b**n) = 1.
     """
-    if isinstance(e, Number):
-        return Polynomial((e.value,)), ONE
-    if isinstance(e, Var):
+
+    x_divisor = False
+
+    def number(self, value):
+        return Polynomial((value,)), ONE
+
+    def var(self):
         return X, ONE
-    if isinstance(e, Neg):
-        num, den = _lower(e.operand, poly)
-        return -num, den
-    if isinstance(e, Pow):
-        num, den = _lower(e.base, poly)
+
+    def neg(self, a):
+        return -a[0], a[1]
+
+    def pow(self, a, k):
+        num, den = a
         if den is ONE:
-            return num**e.exponent, ONE
+            return num**k, ONE
         base = RationalFunction(num, den)
-        return _fold_constant(base.num**e.exponent, base.den**e.exponent)
-    n1, d1 = _lower(e.left, poly)
-    n2, d2 = _lower(e.right, poly)
-    if isinstance(e, Mul):
-        return _mul(n1, n2), _mul(d1, d2)
-    if isinstance(e, Div):
-        if not n2:
-            raise LoweringError("division by zero")
-        if poly and n2.degree:
-            raise LoweringError("x in a denominator: not a polynomial")
-        return _fold_constant(_mul(n1, d2), _mul(d1, n2))
-    # a/b +- c/d = (a*d +- c*b)/(b*d), or (a +- c)/b when b = d
-    if d1 != d2:
-        n1, n2, d1 = _mul(n1, d2), _mul(n2, d1), _mul(d1, d2)
-    return (n1 + n2 if isinstance(e, Add) else n1 - n2), d1
+        return _fold_constant(base.num**k, base.den**k)
+
+    def binary(self, op, a, b):
+        (n1, d1), (n2, d2) = a, b
+        if op == "*":
+            return _mul(n1, n2), _mul(d1, d2)
+        if op == "/":
+            if not n2:
+                raise LoweringError("division by zero")
+            if n2.degree:
+                self.x_divisor = True
+            return _fold_constant(_mul(n1, d2), _mul(d1, n2))
+        # a/b +- c/d = (a*d +- c*b)/(b*d), or (a +- c)/b when b = d
+        if d1 != d2:
+            n1, n2, d1 = _mul(n1, d2), _mul(n2, d1), _mul(d1, d2)
+        return (n1 + n2 if op == "+" else n1 - n2), d1
 
 
-def lower_poly(e: Expr) -> Polynomial:
-    """Evaluate the tree to an exact Polynomial.
+# (num, den, x_divisor), as parse returns it
+Lowered = tuple[Polynomial, Polynomial, bool]
+
+
+def parse(text: str) -> Lowered:
+    """Parse and lower an expression to (num, den, x_divisor).
+
+    num/den is the value, unreduced, with den ONE itself or with x in it,
+    and x_divisor tells whether any divisor had x in it.  Faults are
+    reported in a fixed order: the first syntax error (a ParseError with
+    its byte offset), then a LoweringError if the degree of any part may
+    exceed MAX_DEGREE, judged before any arithmetic, then one for the first
+    division by zero.
+    """
+    tokens = tokenize(text)
+    degrees = _Degrees(tokens)
+    degrees.expr()
+    trailing = degrees.peek()
+    if trailing.kind != "end":
+        raise ParseError(trailing.pos, f"unexpected {_describe(trailing)}")
+    if degrees.peak > MAX_DEGREE:
+        raise LoweringError(f"degree of the result exceeds the limit of {MAX_DEGREE}")
+    values = _Values(tokens)
+    num, den = values.expr()
+    return num, den, values.x_divisor
+
+
+def lower_poly(e: Lowered) -> Polynomial:
+    """The Polynomial a parsed expression denotes.
 
     Division is allowed only by subexpressions that lower to a nonzero
-    constant (the constant folds into the coefficients); anything with
-    x in a denominator raises LoweringError and belongs to
-    lower_ratfun.  A tree whose degree may exceed MAX_DEGREE raises
-    LoweringError before any arithmetic.
+    constant, which folds into the coefficients.  x in any divisor raises
+    LoweringError, even where it cancels as in x/x: such an expression
+    belongs to lower_ratfun.
     """
-    _degree_bound(e)
-    return _lower(e, poly=True)[0]
+    num, _, x_divisor = e
+    if x_divisor:
+        raise LoweringError("x in a denominator: not a polynomial")
+    return num
 
 
-def lower_ratfun(e: Expr) -> RationalFunction:
-    """Evaluate the tree to a canonical RationalFunction.
-
-    The tree folds into one unreduced numerator and denominator, which
-    are reduced once, at the root (and at a power of a base with x in
-    its denominator).  Like lower_poly, refuses a tree whose degree may
-    exceed MAX_DEGREE, and raises LoweringError on a division by zero.
-    """
-    _degree_bound(e)
-    return RationalFunction(*_lower(e, poly=False))
+def lower_ratfun(e: Lowered) -> RationalFunction:
+    """The canonical RationalFunction a parsed expression denotes, reduced once."""
+    num, den, _ = e
+    return RationalFunction(num, den)

@@ -10,8 +10,8 @@ constructor; ring operations trust the ``Fraction``s they compute.
 Arithmetic is exact schoolbook arithmetic on polynomials.  A
 :class:`RationalFunction` is a canonical value only: the arithmetic of
 rational expressions happens on numerator and denominator polynomials
-while ``parser.lower_ratfun`` lowers a tree, and the result is reduced
-once.
+while ``parser.parse`` reads the text, and ``parser.lower_ratfun``
+reduces the result once.
 """
 
 from __future__ import annotations

@@ -242,6 +242,18 @@ class TestOutputFile:
         assert capsys.readouterr().out == ""
         assert json.loads(target.read_text())["result"]["derivative"] == "3*x^2"
 
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_output_is_an_input_error(self, capsys, tmp_path, where):
+        target = tmp_path / "no" / "such" / "o.json" if where == "missing-dir" else tmp_path
+        code, out = run_cli(capsys, "--json", "--output", str(target), "derive", "x^3")
+        assert code == 2
+        env = json.loads(out)
+        assert list(env) == ["command", "inputs", "result", "status", "error"]
+        assert (env["command"], env["inputs"], env["result"]) == ("derive", {"expr": "x^3"}, None)
+        assert env["status"] == "error" and str(target) in env["error"]
+        code, out = run_cli(capsys, "--output", str(target), "derive", "x^3")
+        assert code == 2 and out.startswith("error: ")
+
 
 class TestExitCodes:
     def test_input_error(self, capsys):
@@ -249,6 +261,13 @@ class TestExitCodes:
 
     def test_lowering_error(self, capsys):
         assert run_cli(capsys, "tangent", "1/x", "3")[0] == 2
+
+    def test_division_by_zero_reported_before_x_in_a_denominator(self, capsys):
+        assert run_cli(capsys, "tangent", "1/x + 1/0", "3") == (2, "error: division by zero\n")
+        assert run_cli(capsys, "tangent", "1/x", "3") == (
+            2,
+            "error: x in a denominator: not a polynomial\n",
+        )
 
     def test_bad_rational(self, capsys):
         assert run_cli(capsys, "tangent", "x^2", "3//4")[0] == 2

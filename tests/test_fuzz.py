@@ -3,8 +3,10 @@
 Every argv built from the command table, with well-formed or junk
 values, must exit 0 or 2 (argparse refusals included) within a
 wall-time budget, and ``--json`` must print an envelope with its five
-keys.  Degrees stay at most 8 and junk text short, so that no case can
-ask for a large exact result; the budget catches a case that hangs.
+keys.  Expressions mix sums, quotients (zero divisors included), small
+powers and nested parentheses; their degree bounds stay at most 8 and
+junk text short, so that no case can ask for a large exact result; the
+budget catches a case that hangs.
 All cases share one process, and with it one argument parser.
 """
 
@@ -27,16 +29,37 @@ rational = st.one_of(small.map(str), small.map(lambda q: f"{float(q):.3g}"))
 
 
 @st.composite
-def polynomial(draw):
-    terms = draw(st.lists(st.tuples(small, st.integers(0, 8)), max_size=4))
+def polynomial(draw, degree):
+    terms = draw(st.lists(st.tuples(small, st.integers(0, degree)), max_size=4))
     return " + ".join(f"({c})*x^{k}" for c, k in terms) or "0"
 
 
+@st.composite
+def expression(draw, degree=8):
+    """A sum of terms, or a quotient, a small power of a sum or a nested one.
+
+    A divisor is a sum, which may have x in it, or a zero such as x - x.
+    Each form splits ``degree`` among its parts, so the parser's static
+    numerator and denominator degree bounds both stay at most ``degree``.
+    """
+    form = draw(st.sampled_from(["sum", "quotient", "power", "nested"])) if degree > 1 else "sum"
+    if form == "sum":
+        return draw(polynomial(degree))
+    if form == "nested":
+        return f"(({draw(expression(degree))}))"
+    if form == "power":
+        k = draw(st.integers(0, 3))
+        return f"({draw(polynomial(degree // max(k, 1)))})^{k}"
+    half = degree // 2
+    divisor = draw(st.one_of(polynomial(half), st.sampled_from(["x - x", "0", "2x - x - x"])))
+    return f"({draw(expression(half))})/({divisor})"
+
+
 VALUES = {
-    "expr": polynomial(),
-    "f": polynomial(),
-    "g": polynomial(),
-    "fn": st.one_of(st.sampled_from(["exp", "log", "sin", "cos", "tan"]), polynomial()),
+    "expr": expression(),
+    "f": expression(),
+    "g": expression(),
+    "fn": st.one_of(st.sampled_from(["exp", "log", "sin", "cos", "tan"]), expression()),
 }
 
 

@@ -6,20 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from polytangent.parser import (
-    MAX_DEGREE,
-    Div,
-    LoweringError,
-    Mul,
-    Number,
-    ParseError,
-    Pow,
-    Sub,
-    Var,
-    lower_poly,
-    lower_ratfun,
-    parse,
-)
+from polytangent.parser import MAX_DEGREE, LoweringError, ParseError, lower_poly, lower_ratfun, parse
 from polytangent.polynomial import ONE, X, Polynomial, RationalFunction
 
 coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=9)
@@ -43,9 +30,7 @@ class TestParse:
         assert lower_poly(parse("x^2 - 5*x + 6")) == X**2 - 5 * X + 6
 
     def test_fraction_literal_stays_division_until_lowering(self):
-        tree = parse("3/4")
-        assert tree == Div(Number(Fraction(3)), Number(Fraction(4)))
-        assert lower_poly(tree) == Polynomial([Fraction(3, 4)])
+        assert lower_poly(parse("3/4")) == Polynomial([Fraction(3, 4)])
 
     def test_whitespace_insensitive(self):
         assert lower_poly(parse(" x ^2-5 * x+ 6 ")) == X**2 - 5 * X + 6
@@ -72,11 +57,6 @@ class TestParse:
         assert lower_poly(parse("0.5*x")) == Fraction(1, 2) * X
         assert lower_poly(parse("1.25")) == Polynomial([Fraction(5, 4)])
         assert lower_poly(parse("2.50")) == Polynomial([Fraction(5, 2)])
-
-    def test_power_structure(self):
-        assert parse("x^3") == Pow(Var(), 3)
-        assert parse("2*x") == Mul(Number(Fraction(2)), Var())
-        assert parse("x - 1") == Sub(Var(), Number(Fraction(1)))
 
 
 class TestParseErrors:
@@ -149,12 +129,12 @@ class TestLowerRatfun:
     @example(RationalFunction(ONE, X), "/", RationalFunction(Polynomial()))
     @example(RationalFunction(ONE, X), "-", RationalFunction(ONE, X))
     def test_ring_operations_match_cross_multiplication(self, r, op, s):
-        tree = parse(f"({r}) {op} ({s})")
+        text = f"({r}) {op} ({s})"
         if op == "/" and not s.num:
             with pytest.raises(LoweringError, match="division by zero"):
-                lower_ratfun(tree)
+                parse(text)
         else:
-            assert lower_ratfun(tree) == cross_multiplied(r, op, s)
+            assert lower_ratfun(parse(text)) == cross_multiplied(r, op, s)
 
 
 class TestDegreeBound:
@@ -169,6 +149,10 @@ class TestDegreeBound:
             "((x+1)^8)^300",
             "((x+1)^1024)^1024",
             "(x^1024*x)^0",  # an intermediate over the bound
+            # the bounds are static: cancellation and equal denominators do not shrink them
+            "(x^1024 - x^1024 + x)^2",
+            "1/x^600 + 1/x^600",
+            "((x^4-1)/(x-1))^300",
         ],
     )
     def test_over_the_bound_rejected(self, text):
@@ -176,10 +160,53 @@ class TestDegreeBound:
             with pytest.raises(LoweringError, match=str(MAX_DEGREE)):
                 lower(parse(text))
 
+    def test_refused_before_any_arithmetic(self, monkeypatch):
+        calls = []
+
+        def counted(method):
+            def wrapper(*args):
+                calls.append(method.__name__)
+                return method(*args)
+
+            return wrapper
+
+        for name in ("__mul__", "__pow__"):
+            monkeypatch.setattr(Polynomial, name, counted(getattr(Polynomial, name)))
+        assert lower_poly(parse("x*(x+1)^8")).degree == 9
+        assert calls
+        calls.clear()
+        with pytest.raises(LoweringError, match=str(MAX_DEGREE)):
+            parse("x*(x+1)^1024")
+        assert calls == []
+
     def test_sum_of_fractions_adds_denominator_degrees(self):
         assert lower_poly(parse("x^1000 + x^1024")).degree == 1024
         with pytest.raises(LoweringError, match=str(MAX_DEGREE)):
             lower_ratfun(parse("1/x^600 + 1/(x+1)^600"))
+
+
+class TestFaultOrder:
+    """Syntax first, then degree, then division by zero, then x in a denominator."""
+
+    def test_syntax_before_degree(self):
+        with pytest.raises(ParseError):
+            parse("x^1024*x + (")
+
+    def test_degree_before_division_by_zero(self):
+        with pytest.raises(LoweringError, match=str(MAX_DEGREE)):
+            parse("1/0 + x^1024*x")
+
+    def test_division_by_zero_before_x_in_a_denominator(self):
+        # the x divisor comes first in the text, yet the zero divisor is reported
+        with pytest.raises(LoweringError, match="division by zero"):
+            lower_poly(parse("1/x + 1/0"))
+
+    def test_x_in_a_denominator_is_a_flag(self):
+        num, den, x_divisor = parse("x/x")
+        assert x_divisor and (num, den) == (X, X)
+        with pytest.raises(LoweringError, match="x in a denominator"):
+            lower_poly((num, den, x_divisor))
+        assert lower_ratfun((num, den, x_divisor)) == RationalFunction(ONE)
 
 
 class TestRender:
