@@ -15,9 +15,8 @@ import argparse
 import functools
 import json
 import sys
+from collections import namedtuple
 from fractions import Fraction
-from pathlib import Path
-from typing import Callable, NamedTuple
 
 from .decomposition import decompose, quotient_table, remainder_valuation
 from .dual import Dual, ElementaryFn, eval_elementary, eval_poly
@@ -231,7 +230,8 @@ def _cmd_plot(args):
         raise ValueError(f"--size must be WxH, got {args.size!r}")
     dx = Fraction(args.dx) if args.dx is not None else None
     svg, info = render_figure(f, p, lo, hi, dx=dx, width=width, height=height)
-    Path(args.out).write_text(svg, encoding="utf-8")
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(svg)
     size, span = f"{width}x{height}", f"{lo},{hi}"
     result = {
         "out": args.out,
@@ -261,11 +261,8 @@ def _cmd_plot(args):
 # -- the command table ----------------------------------------------------------
 
 
-class Command(NamedTuple):
-    help: str
-    positionals: tuple[str, ...]
-    handler: Callable
-    options: tuple = ()  # (flag, add_argument keywords) pairs
+# options holds (flag, add_argument keywords) pairs.
+Command = namedtuple("Command", "help positionals handler options", defaults=((),))
 
 
 COMMANDS = {
@@ -361,7 +358,8 @@ def main(argv=None) -> int:
         if args.output:
             # An --output that cannot be written is an input error like any other.
             try:
-                Path(args.output).write_text(payload, encoding="utf-8")
+                with open(args.output, "w", encoding="utf-8") as fh:
+                    fh.write(payload)
             except OSError as exc:
                 code, payload = 2, _payload(args, str(exc))
             else:

@@ -19,7 +19,7 @@ bookkeeping on an already-constructed derivative, not as a definition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .polynomial import Polynomial
@@ -32,24 +32,16 @@ from .tangency import derivative, taylor_shift, valuation
 MAX_STEPS = 100
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """f(x0 + dx) = value + slope*dx + remainder(dx), exactly."""
+class Decomposition(namedtuple("Decomposition", "x0 value slope remainder")):
+    """f(x0 + dx) = value + slope*dx + remainder(dx), exactly; remainder has valuation >= 2."""
 
-    x0: Fraction
-    value: Fraction
-    slope: Fraction
-    remainder: Polynomial  # polynomial in the increment dx, valuation >= 2
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class QuotientRow:
-    """One row of the difference-quotient table: all entries exact."""
+class QuotientRow(namedtuple("QuotientRow", "h dy quotient gap")):
+    """One exact row of the difference-quotient table; gap = dy/h - f'(x0) = remainder(h)/h."""
 
-    h: Fraction
-    dy: Fraction
-    quotient: Fraction  # dy / h
-    gap: Fraction  # quotient - f'(x0), equal to remainder(h)/h
+    __slots__ = ()
 
 
 def increment(f: Polynomial, x0, dx) -> Fraction:

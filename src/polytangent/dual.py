@@ -9,11 +9,7 @@ generation, and the float extension to elementary functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from .polynomial import Polynomial
+from collections import namedtuple
 
 
 class DomainError(ValueError):
@@ -90,22 +86,21 @@ ELEMENTARY_TAGS = ("exp", "log", "sin", "cos", "tan", "pow_const")
 TAN_POLE_CUTOFF = 1e-12
 
 
-@dataclass(frozen=True)
-class ElementaryFn:
+class ElementaryFn(namedtuple("ElementaryFn", "tag parameter")):
     """One of the supported elementary functions, by tag.
 
     ``pow_const`` carries its constant exponent in ``parameter``; the
     other tags ignore it.
     """
 
-    tag: str
-    parameter: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.tag not in ELEMENTARY_TAGS:
-            raise ValueError(f"unknown elementary function tag {self.tag!r}")
-        if self.tag == "pow_const" and self.parameter is None:
+    def __new__(cls, tag: str, parameter: float | None = None):
+        if tag not in ELEMENTARY_TAGS:
+            raise ValueError(f"unknown elementary function tag {tag!r}")
+        if tag == "pow_const" and parameter is None:
             raise ValueError("pow_const needs an exponent parameter")
+        return super().__new__(cls, tag, parameter)
 
 
 def eval_elementary(fn: ElementaryFn, x: Dual) -> Dual:

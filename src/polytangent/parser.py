@@ -26,7 +26,7 @@ constant divisor folds into the coefficients, so ``1/2*x`` means
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .polynomial import ONE, Polynomial, RationalFunction, X
@@ -58,11 +58,10 @@ class LoweringError(Exception):
 # -- lexer ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "num", "x", one of "+-*/^()", or "end"
-    value: Fraction | None
-    pos: int
+class Token(namedtuple("Token", "kind value pos")):
+    """kind is "num", "x", one of "+-*/^()", or "end"; value is a Fraction or None."""
+
+    __slots__ = ()
 
 
 def tokenize(text: str) -> list[Token]:

@@ -16,13 +16,11 @@ reduces the result once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable, Union
 
 from .rational import exact
-
-Scalar = Union[int, Fraction]
 
 
 class Polynomial:
@@ -30,7 +28,7 @@ class Polynomial:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[Scalar | str] = ()):
+    def __init__(self, coeffs: Iterable[int | Fraction | str] = ()):
         cs = [exact(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
@@ -242,16 +240,13 @@ def polynomial_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     return a.monic()
 
 
-@dataclass(frozen=True)
-class LinearFunction:
-    """A line y = k*x + b given by slope k and intercept b."""
+class LinearFunction(namedtuple("LinearFunction", "slope intercept")):
+    """A line y = k*x + b given by slope k and intercept b, both exact."""
 
-    slope: Fraction
-    intercept: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "slope", exact(self.slope))
-        object.__setattr__(self, "intercept", exact(self.intercept))
+    def __new__(cls, slope, intercept):
+        return super().__new__(cls, exact(slope), exact(intercept))
 
     def as_polynomial(self) -> Polynomial:
         return Polynomial((self.intercept, self.slope))

@@ -9,7 +9,7 @@ failing report anywhere is a bug.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .polynomial import Polynomial, RationalFunction
 from .tangency import derivative, ratfun_derivative
@@ -17,13 +17,10 @@ from .tangency import derivative, ratfun_derivative
 RULES = ("sum", "product", "quotient", "chain")
 
 
-@dataclass(frozen=True)
-class RuleReport:
+class RuleReport(namedtuple("RuleReport", "rule lhs rhs")):
     """Both sides of one rule identity; `holds` is equality of canonical forms."""
 
-    rule: str
-    lhs: RationalFunction
-    rhs: RationalFunction
+    __slots__ = ()
 
     @property
     def holds(self) -> bool:

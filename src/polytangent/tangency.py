@@ -21,8 +21,7 @@ consequence, checked in :mod:`polytangent.decomposition`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 
 from .dual import Dual, eval_poly
 from .polynomial import (
@@ -48,18 +47,14 @@ class CertificateError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class TangentLine:
+class TangentLine(namedtuple("TangentLine", "point slope intercept cofactor")):
     """The tangent to a polynomial at ``point``, with its divisibility certificate.
 
     For the polynomial f it was built from:
     f(x) - (slope*x + intercept) = (x - point)**2 * cofactor(x), exactly.
     """
 
-    point: Fraction
-    slope: Fraction
-    intercept: Fraction
-    cofactor: Polynomial
+    __slots__ = ()
 
     @property
     def line(self) -> LinearFunction:

@@ -68,7 +68,9 @@ def test_c04_tangent_uniqueness():
         while f.degree < 2:
             f = rand_polynomial(rng, max_degree=10, allow_zero=False)
         p = rand_rational(rng)
-        k = tangent_at(f, p).slope
+        t = tangent_at(f, p)
+        assert certificate_holds(f, t.slope, t.intercept, p, t.cofactor)
+        k = t.slope
         for wrong in (k + 1, k - 1, k + Fraction(1, 2), k - Fraction(1, 2)):
             line = LinearFunction(wrong, f(p) - wrong * p)
             assert not is_tangent(f, line, p)
@@ -81,7 +83,9 @@ def test_c05_cross_construction_agreement():
         f = rand_polynomial(rng, max_degree=10)
         p = rand_rational(rng)
         via_dual = eval_poly(f, Dual(p, Fraction(1))).eps
-        via_tangent = tangent_at(f, p).slope
+        t = tangent_at(f, p)
+        assert certificate_holds(f, t.slope, t.intercept, p, t.cofactor)
+        via_tangent = t.slope
         via_derivative = derivative(f)(p)
         assert via_dual == via_tangent == via_derivative
     ok("criterion 5: dual, tangent, and derivative-polynomial slopes agree on 500 samples")

@@ -518,3 +518,14 @@ class TestSubprocess:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["result"]["derivative"] == "3*x^2"
+
+    def test_import_loads_no_heavy_stdlib_modules(self):
+        # Every CLI invocation pays for what the package imports, and dataclasses
+        # alone pulls in inspect, ast, dis and tokenize.  -S keeps a site hook
+        # from loading any of these before the package does.
+        src = str(Path(polytangent.__file__).resolve().parents[1])
+        code = (f"import sys; sys.path.insert(0, {src!r}); import polytangent.cli; "
+                "print(sorted({'dataclasses', 'inspect', 'typing', 'pathlib'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"

@@ -158,7 +158,7 @@ class TestElementary:
 
     def test_tags_are_closed(self):
         assert set(IN_DOMAIN) | {"pow_const"} == set(ELEMENTARY_TAGS)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown elementary function tag 'sinh'"):
             ElementaryFn("sinh")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="pow_const needs an exponent parameter"):
             ElementaryFn("pow_const")
