@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .decomposition import decompose, quotient_table, remainder_valuation
 from .dual import Dual, ElementaryFn, eval_elementary, eval_poly
-from .parser import LoweringError, ParseError, lower_poly, lower_ratfun, parse
+from .parser import MAX_EXPONENT, LoweringError, ParseError, lower_poly, lower_ratfun, parse
 from .plotting import render_figure
 from .polynomial import LinearFunction, Polynomial, X
 from .rational import to_decimal
@@ -38,12 +38,26 @@ from .tangency import (
 _DUAL_TAGS = ("exp", "log", "sin", "cos", "tan")  # pow_const is API-only
 
 # Raised by a handler on bad input: exit 2.  OverflowError comes from
-# float conversions, such as exp of a large argument or a huge plot range.
+# float conversions, such as exp of a large argument or a huge plot range,
+# and from a scalar's decimal exponent beyond MAX_EXPONENT.
 _INPUT_ERRORS = (ParseError, LoweringError, ValueError, ZeroDivisionError, OverflowError, OSError)
 
 
 def _poly(text: str) -> Polynomial:
     return lower_poly(parse(text))
+
+
+def _scalar(text: str) -> Fraction:
+    """Fraction(text), refusing a decimal exponent beyond MAX_EXPONENT.
+
+    Fraction computes the power of ten in full: "1e9999999" takes seconds.
+    An exponent of ten digits or more is refused without converting it.
+    """
+    _, e, exponent = text.lower().partition("e")
+    digits = exponent.rstrip().lstrip("+-").replace("_", "").lstrip("0")
+    if e and digits.isdecimal() and (len(digits) > 9 or int(digits) > MAX_EXPONENT):
+        raise OverflowError(f"decimal exponent exceeds the limit of {MAX_EXPONENT}")
+    return Fraction(text)
 
 
 def _finite_or_marker(value):
@@ -57,7 +71,7 @@ def _finite_or_marker(value):
 
 def _cmd_tangent(args):
     f = _poly(args.expr)
-    p = Fraction(args.p)
+    p = _scalar(args.p)
     t = tangent_at(f, p)
     equation = t.equation()
     difference = f - t.line.as_polynomial()
@@ -96,8 +110,8 @@ def _cmd_derive(args):
 
 def _cmd_check(args):
     f = _poly(args.expr)
-    line = LinearFunction(Fraction(args.k), Fraction(args.b))
-    p = Fraction(args.p)
+    line = LinearFunction(_scalar(args.k), _scalar(args.b))
+    p = _scalar(args.p)
     m = intersection_multiplicity(f, line, p)
     tangent = m >= 2
     multiplicity = _finite_or_marker(m)
@@ -119,7 +133,7 @@ def _cmd_mult(args):
 
 def _cmd_decompose(args):
     f = _poly(args.expr)
-    x0 = Fraction(args.x0)
+    x0 = _scalar(args.x0)
     d = decompose(f, x0)
     remainder = d.remainder.render("t")
     valuation = _finite_or_marker(remainder_valuation(d))
@@ -142,7 +156,7 @@ def _cmd_decompose(args):
 
 def _cmd_expand(args):
     f = _poly(args.expr)
-    p = Fraction(args.p)
+    p = _scalar(args.p)
     shifted = taylor_shift(f, p)
     coefficients = [str(c) for c in shifted.coeffs]
     polynomial = shifted.render("t")
@@ -153,7 +167,7 @@ def _cmd_expand(args):
 
 def _cmd_table(args):
     f = _poly(args.expr)
-    x0 = Fraction(args.x0)
+    x0 = _scalar(args.x0)
     rows = [
         {
             "h": str(r.h),
@@ -200,8 +214,8 @@ def _cmd_rules(args):
 
 
 def _cmd_dual(args):
-    a = Fraction(args.a)
-    b = Fraction(args.b)
+    a = _scalar(args.a)
+    b = _scalar(args.b)
     if args.fn in _DUAL_TAGS:
         fn = args.fn
         out = eval_elementary(ElementaryFn(fn), Dual(float(a), float(b)))
@@ -217,10 +231,10 @@ def _cmd_dual(args):
 
 def _cmd_plot(args):
     f = _poly(args.expr)
-    p = Fraction(args.p)
+    p = _scalar(args.p)
     try:
         lo_text, hi_text = args.range.split(",")
-        lo, hi = Fraction(lo_text), Fraction(hi_text)
+        lo, hi = _scalar(lo_text), _scalar(hi_text)
     except ValueError:
         raise ValueError(f"--range must be lo,hi with lo < hi, got {args.range!r}")
     try:
@@ -228,7 +242,7 @@ def _cmd_plot(args):
         width, height = int(w_text), int(h_text)
     except ValueError:
         raise ValueError(f"--size must be WxH, got {args.size!r}")
-    dx = Fraction(args.dx) if args.dx is not None else None
+    dx = _scalar(args.dx) if args.dx is not None else None
     svg, info = render_figure(f, p, lo, hi, dx=dx, width=width, height=height)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg)

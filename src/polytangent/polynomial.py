@@ -7,7 +7,10 @@ is ``None`` rather than any number, so degree arithmetic can never
 silently use a bogus -1.  Coefficients are validated once, at the public
 constructor; ring operations trust the ``Fraction``s they compute.
 
-Arithmetic is exact schoolbook arithmetic on polynomials.  A
+Arithmetic is exact schoolbook arithmetic that skips structural zeros:
+a product with a constant scales the other operand, a monomial power
+``(c*x^j)^e`` is ``c^e*x^(j*e)`` with no squaring, and a sum adds no
+zero coefficient.  A
 :class:`RationalFunction` is a canonical value only: the arithmetic of
 rational expressions happens on numerator and denominator polynomials
 while ``parser.parse`` reads the text, and ``parser.lower_ratfun``
@@ -86,7 +89,8 @@ class Polynomial:
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
-            out[i] += c
+            if c:  # a zero addend is skipped; a zero slot takes the addend as it is
+                out[i] = out[i] + c if out[i] else c
         return Polynomial._trusted(out)
 
     __radd__ = __add__
@@ -107,8 +111,16 @@ class Polynomial:
         return other + (-self)
 
     def __mul__(self, other) -> "Polynomial":
+        if isinstance(other, Polynomial):
+            # A single coefficient on either side scales the other operand.
+            if len(other.coeffs) == 1:
+                other = other.coeffs[0]
+            elif len(self.coeffs) == 1:
+                self, other = other, self.coeffs[0]
         if isinstance(other, (int, Fraction)):
-            return Polynomial._trusted([c * other for c in self.coeffs])
+            if other == 1:
+                return self
+            return Polynomial._trusted([c * other if c else c for c in self.coeffs])
         other = _coerce(other)
         if other is None:
             return NotImplemented
@@ -126,6 +138,9 @@ class Polynomial:
     def __pow__(self, exponent: int) -> "Polynomial":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial exponents must be non-negative integers")
+        if self.coeffs and not any(self.coeffs[:-1]):  # c*x^j: (c*x^j)^e = c^e*x^(j*e)
+            zeros = [Fraction(0)] * ((len(self.coeffs) - 1) * exponent)
+            return Polynomial._trusted(zeros + [self.coeffs[-1] ** exponent])
         result = Polynomial((1,))
         base = self
         n = exponent

@@ -1,7 +1,9 @@
 """Seeded random generators and independent oracles shared by the tests.
 
 The oracles deliberately take different routes than the code under
-test: the power rule is applied coefficient by coefficient, local
+test: products and sums are plain ``Fraction`` loops over ``.coeffs``
+with no shortcut for zeros, the power rule is applied coefficient by
+coefficient, local
 expansions are recomputed by binomial expansion of (p + t)**i,
 tangents are read off those expansions instead of by division,
 rational functions are compared by cross multiplication instead of by
@@ -38,6 +40,28 @@ def rand_nonzero_polynomial(rng: random.Random, max_degree: int = 8) -> Polynomi
         f = rand_polynomial(rng, max_degree, allow_zero=False)
         if f:
             return f
+
+
+def _trimmed(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def convolve(a, b) -> tuple[Fraction, ...]:
+    """Independent product oracle: the coefficients of a*b from two coefficient sequences."""
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trimmed(out)
+
+
+def coefficient_sum(a, b, sign=1) -> tuple[Fraction, ...]:
+    """Independent sum oracle: the coefficients of a + sign*b from two coefficient sequences."""
+    n = max(len(a), len(b))
+    a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
+    return _trimmed([Fraction(x) + sign * y for x, y in zip(a, b)])
 
 
 def power_rule_derivative(f: Polynomial) -> Polynomial:

@@ -14,6 +14,7 @@ import pytest
 import polytangent
 from polytangent import cli
 from polytangent.decomposition import MAX_STEPS
+from polytangent.parser import MAX_EXPONENT
 from polytangent.polynomial import Polynomial, X
 from polytangent.tangency import CertificateError, tangent_at
 
@@ -294,6 +295,28 @@ class TestExitCodes:
         code, out = run_cli(capsys, "--json", "table", "x", "0", "--steps", "100000000")
         assert code == 2
         assert str(MAX_STEPS) in json.loads(out)["error"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("tangent", "x^2", "1e9999999"),
+            ("check", "x^2", "0", "0", "--", "-1E-1025"),
+            ("dual", "x", "1e1_025", "1"),
+            ("plot", "x", "0", "--range", "0,1e9999999", "--out", "{tmp}/x.svg"),
+        ],
+        ids=["tangent", "check", "dual", "plot-range"],
+    )
+    def test_scalar_exponent_over_the_bound(self, capsys, tmp_path, argv):
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        code, out = run_cli(capsys, "--json", *argv)
+        assert code == 2
+        assert str(MAX_EXPONENT) in json.loads(out)["error"]
+        assert not any(tmp_path.iterdir())
+
+    def test_scalar_exponent_at_the_bound(self, capsys):
+        code, out = run_cli(capsys, "--json", "tangent", "x^2", "--", "-1e1024")
+        assert code == 0
+        assert json.loads(out)["result"]["slope"] == "-2" + "0" * 1024
 
     def test_certificate_failure_is_exit_3(self, capsys, monkeypatch):
         def explode(*_args, **_kwargs):

@@ -5,8 +5,9 @@ values, must exit 0 or 2 (argparse refusals included) within a
 wall-time budget, and ``--json`` must print an envelope with its five
 keys.  Expressions mix sums, quotients (zero divisors included), small
 powers and nested parentheses; their degree bounds stay at most 8 and
-junk text short, so that no case can ask for a large exact result; the
-budget catches a case that hangs.
+junk text short, so that no expression can ask for a large exact
+result.  Scalars include ``1e±n`` with n up to 10**7, which the CLI must
+refuse beyond its exponent bound.  The budget catches a case that hangs.
 All cases share one process, and with it one argument parser.
 """
 
@@ -25,7 +26,11 @@ ENVELOPE_KEYS = ["command", "inputs", "result", "status", "error"]
 
 small = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 junk = st.text(alphabet="x0123456789+-*/^()., e", max_size=8)
-rational = st.one_of(small.map(str), small.map(lambda q: f"{float(q):.3g}"))
+rational = st.one_of(
+    small.map(str),
+    small.map(lambda q: f"{float(q):.3g}"),
+    st.integers(-(10**7), 10**7).map(lambda n: f"1e{n}"),
+)
 
 
 @st.composite

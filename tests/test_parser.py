@@ -160,7 +160,9 @@ class TestDegreeBound:
             with pytest.raises(LoweringError, match=str(MAX_DEGREE)):
                 lower(parse(text))
 
-    def test_refused_before_any_arithmetic(self, monkeypatch):
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The names of the Polynomial.__mul__ and __pow__ calls made, in order."""
         calls = []
 
         def counted(method):
@@ -172,12 +174,19 @@ class TestDegreeBound:
 
         for name in ("__mul__", "__pow__"):
             monkeypatch.setattr(Polynomial, name, counted(getattr(Polynomial, name)))
+        return calls
+
+    def test_refused_before_any_arithmetic(self, calls):
         assert lower_poly(parse("x*(x+1)^8")).degree == 9
         assert calls
         calls.clear()
         with pytest.raises(LoweringError, match=str(MAX_DEGREE)):
             parse("x*(x+1)^1024")
         assert calls == []
+
+    def test_monomial_power_makes_no_product(self, calls):
+        assert lower_poly(parse("x^1024")).coeffs == (0,) * 1024 + (1,)
+        assert calls == ["__pow__"]
 
     def test_sum_of_fractions_adds_denominator_degrees(self):
         assert lower_poly(parse("x^1000 + x^1024")).degree == 1024

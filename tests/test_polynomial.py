@@ -1,6 +1,7 @@
 """Dense polynomial arithmetic, division, gcd, and rational functions."""
 
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given
@@ -16,11 +17,33 @@ from polytangent.polynomial import (
     polynomial_gcd,
 )
 from polytangent.tangency import taylor_shift
-from support import cross_multiplied_equal
+from support import coefficient_sum, convolve, cross_multiplied_equal
 
 coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 polys = st.builds(Polynomial, st.lists(coeffs, max_size=9))
 points = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+
+
+def from_terms(terms: dict) -> Polynomial:
+    """The polynomial sum of c*x^k over {k: c}, built from its coefficient list."""
+    return Polynomial([terms.get(k, 0) for k in range(max(terms, default=-1) + 1)])
+
+
+# Zero, constants (±1 among them), c*x^k with k <= 40, binomials and dense:
+# the shapes the constant, monomial and zero-addend shortcuts handle.
+# A binomial with a constant term is drawn on its own: it is a monomial
+# but for its first coefficient.
+powers = st.integers(0, 40)
+sparse_polys = st.one_of(
+    st.just(ZERO),
+    st.sampled_from([1, -1]).map(lambda c: Polynomial((c,))),
+    coeffs.map(lambda c: Polynomial((c,))),
+    st.builds(lambda c, k: from_terms({k: c}), coeffs, powers),
+    st.builds(lambda c, d, k: from_terms({0: c, k: d}), coeffs, coeffs, powers),
+    st.dictionaries(powers, coeffs, min_size=2, max_size=2).map(from_terms),
+    polys,
+)
+scalars = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-99, 99), coeffs)
 
 
 class TestStructure:
@@ -71,7 +94,7 @@ def assert_well_formed(p: Polynomial) -> None:
 class TestResultsAreWellFormed:
     """Ring results skip coefficient validation, so check what they hold."""
 
-    @given(polys, polys, coeffs, st.integers(-9, 9), points, st.integers(0, 4))
+    @given(sparse_polys, sparse_polys, coeffs, st.integers(-9, 9), points, st.integers(0, 4))
     def test_every_operation(self, f, g, c, n, p, e):
         results = [f + g, f + n, n + f, f - g, f - n, n - f, -f,
                    f * g, f * n, n * f, f * c, c * f, f * 0, f**e, taylor_shift(f, p)]
@@ -81,6 +104,31 @@ class TestResultsAreWellFormed:
             results.append(f.monic())
         for r in results:
             assert_well_formed(r)
+
+
+class TestAgainstPlainArithmetic:
+    """Products, powers and sums agree with plain Fraction loops over ``.coeffs``."""
+
+    @given(sparse_polys, sparse_polys)
+    def test_product(self, f, g):
+        expected = convolve(f.coeffs, g.coeffs)
+        assert (f * g).coeffs == expected
+        assert (g * f).coeffs == expected
+
+    @given(sparse_polys, scalars)
+    def test_scalar_product(self, f, c):
+        expected = convolve(f.coeffs, (c,))
+        assert (f * c).coeffs == expected
+        assert (c * f).coeffs == expected
+
+    @given(sparse_polys, st.integers(0, 6))
+    def test_power(self, f, e):
+        assert (f**e).coeffs == reduce(convolve, [f.coeffs] * e, (Fraction(1),))
+
+    @given(sparse_polys, sparse_polys)
+    def test_sum_and_difference(self, f, g):
+        assert (f + g).coeffs == coefficient_sum(f.coeffs, g.coeffs)
+        assert (f - g).coeffs == coefficient_sum(f.coeffs, g.coeffs, -1)
 
 
 class TestRingOperations:
