@@ -168,6 +168,8 @@ def _cmd_expand(args):
 def _cmd_table(args):
     f = _poly(args.expr)
     x0 = _scalar(args.x0)
+    table = quotient_table(f, x0, args.steps)
+    slope = table[0].quotient - table[0].gap  # gap = quotient - f'(x0), exactly
     rows = [
         {
             "h": str(r.h),
@@ -178,9 +180,8 @@ def _cmd_table(args):
             "quotient_decimal": to_decimal(r.quotient),
             "gap_decimal": to_decimal(r.gap),
         }
-        for r in quotient_table(f, x0, args.steps)
+        for r in table
     ]
-    slope = derivative(f)(x0)
     lines = [
         f"difference quotients for f(x) = {f} at x0 = {x0} (slope {slope})",
         f"  {'h':>12}  {'dy/dx':>16}  {'gap':>16}  {'gap (decimal)':>16}",

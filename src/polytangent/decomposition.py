@@ -22,9 +22,10 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
+from .dual import Dual, eval_poly
 from .polynomial import Polynomial
 from .rational import exact
-from .tangency import derivative, taylor_shift, valuation
+from .tangency import taylor_shift, valuation
 
 # Row k of a degree-n table holds numbers of about n*k digits, so the
 # cost grows faster than the row count: at degree 5 on a 2-vCPU Xeon,
@@ -60,8 +61,8 @@ def secant_slope(f: Polynomial, x0, dx) -> Fraction:
 
 
 def differential(f: Polynomial, x0, dx) -> Fraction:
-    """The linear part of the increment: f'(x0) * dx."""
-    return derivative(f)(exact(x0)) * exact(dx)
+    """The linear part of the increment: f'(x0) * dx, with f'(x0) from one dual pass."""
+    return eval_poly(f, Dual(exact(x0), Fraction(1))).eps * exact(dx)
 
 
 def decompose(f: Polynomial, x0) -> Decomposition:
@@ -96,7 +97,7 @@ def quotient_table(f: Polynomial, x0, steps: int) -> list[QuotientRow]:
     if steps > MAX_STEPS:
         raise ValueError(f"steps exceeds the limit of {MAX_STEPS}")
     x0 = exact(x0)
-    slope = derivative(f)(x0)
+    slope = eval_poly(f, Dual(x0, Fraction(1))).eps
     rows = []
     for k in range(1, steps + 1):
         h = Fraction(1, 10**k)

@@ -8,9 +8,9 @@ silently use a bogus -1.  Coefficients are validated once, at the public
 constructor; ring operations trust the ``Fraction``s they compute.
 
 Arithmetic is exact schoolbook arithmetic that skips structural zeros:
-a product with a constant scales the other operand, a monomial power
-``(c*x^j)^e`` is ``c^e*x^(j*e)`` with no squaring, and a sum adds no
-zero coefficient.  A
+a product with a monomial ``c*x^j`` is a shift and a scale, so a
+dual-Horner derivative step is two shifts and an add; ``(c*x^j)^e`` is
+``c^e*x^(j*e)``; and a sum adds no zero coefficient.  A
 :class:`RationalFunction` is a canonical value only: the arithmetic of
 rational expressions happens on numerator and denominator polynomials
 while ``parser.parse`` reads the text, and ``parser.lower_ratfun``
@@ -111,26 +111,30 @@ class Polynomial:
         return other + (-self)
 
     def __mul__(self, other) -> "Polynomial":
+        # A monomial c*x^j on either side (of two, the shorter; a scalar is
+        # j = 0) shifts the other operand by j and scales it by c unless c is
+        # 1, so a factor 1 returns the other operand itself (it is immutable).
         if isinstance(other, Polynomial):
-            # A single coefficient on either side scales the other operand.
-            if len(other.coeffs) == 1:
-                other = other.coeffs[0]
-            elif len(self.coeffs) == 1:
-                self, other = other, self.coeffs[0]
-        if isinstance(other, (int, Fraction)):
-            if other == 1:
-                return self
-            return Polynomial._trusted([c * other if c else c for c in self.coeffs])
-        other = _coerce(other)
-        if other is None:
+            b = other.coeffs
+        elif isinstance(other, (int, Fraction)):
+            b = (other,)  # c*x^0, 0 included: one coefficient, never swapped left
+        else:
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return Polynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
+        a = self.coeffs
+        if _is_monomial(a) and (len(a) < len(b) or not _is_monomial(b)):
+            self, a, b = other, b, a
+        if _is_monomial(b):
+            c = b[-1]
+            if c == 1 and len(b) == 1:
+                return self
+            out = list(b[:-1])  # the j zeros
+            out += a if c == 1 else [x * c if x else x for x in a]
+            return Polynomial._trusted(out)
+        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
         return Polynomial._trusted(out)
 
     __rmul__ = __mul__
@@ -138,7 +142,7 @@ class Polynomial:
     def __pow__(self, exponent: int) -> "Polynomial":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial exponents must be non-negative integers")
-        if self.coeffs and not any(self.coeffs[:-1]):  # c*x^j: (c*x^j)^e = c^e*x^(j*e)
+        if _is_monomial(self.coeffs):  # (c*x^j)^e = c^e*x^(j*e)
             zeros = [Fraction(0)] * ((len(self.coeffs) - 1) * exponent)
             return Polynomial._trusted(zeros + [self.coeffs[-1] ** exponent])
         result = Polynomial((1,))
@@ -225,6 +229,11 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({[str(c) for c in self.coeffs]})"
+
+
+def _is_monomial(cs: tuple[Fraction, ...]) -> bool:
+    """c*x^j: a nonempty coefficient sequence that is zero but for its last entry."""
+    return bool(cs) and not any(cs[:-1])
 
 
 def _coerce(value) -> Polynomial | None:

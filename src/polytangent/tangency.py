@@ -13,9 +13,10 @@ re-checked by exact multiplication before the tangent is returned.
 
 Letting p vary produces the derivative as a function.  It is generated
 here in one pass by evaluating f at the dual element x + eps over the
-polynomial ring: the eps component is the derivative polynomial.  No
-limits are taken anywhere; the difference-quotient behaviour is a
-consequence, checked in :mod:`polytangent.decomposition`.
+polynomial ring, each step two shifts and an add: the eps component is
+the derivative polynomial.  No limits are taken anywhere; the
+difference-quotient behaviour is a consequence, checked in
+:mod:`polytangent.decomposition`.
 """
 
 from __future__ import annotations
@@ -129,8 +130,9 @@ def derivative(f: Polynomial) -> Polynomial:
 
     Computed symbolically by one Horner pass of f at the dual element
     x + eps over the polynomial ring; the eps component collects the
-    linear terms of every local expansion at once.  Agrees pointwise
-    with tangent_at(f, p).slope for every rational p.
+    linear terms of every local expansion at once.  Each step multiplies
+    by x, which is a shift, so the pass takes no schoolbook product.
+    Agrees pointwise with tangent_at(f, p).slope for every rational p.
     """
     return eval_poly(f, Dual(X, ONE)).eps
 

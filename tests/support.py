@@ -1,4 +1,4 @@
-"""Seeded random generators and independent oracles shared by the tests.
+"""Seeded generators, Hypothesis strategies and independent oracles shared by the tests.
 
 The oracles deliberately take different routes than the code under
 test: products and sums are plain ``Fraction`` loops over ``.coeffs``
@@ -16,7 +16,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from polytangent.polynomial import Polynomial, RationalFunction
+from hypothesis import strategies as st
+
+from polytangent.polynomial import ZERO, Polynomial, RationalFunction
 
 
 def rand_rational(rng: random.Random, num_lo=-9, num_hi=9, den_hi=9) -> Fraction:
@@ -40,6 +42,28 @@ def rand_nonzero_polynomial(rng: random.Random, max_degree: int = 8) -> Polynomi
         f = rand_polynomial(rng, max_degree, allow_zero=False)
         if f:
             return f
+
+
+def from_terms(terms: dict) -> Polynomial:
+    """The polynomial sum of c*x^k over {k: c}, built from its coefficient list."""
+    return Polynomial([terms.get(k, 0) for k in range(max(terms, default=-1) + 1)])
+
+
+# Zero, constants (±1 among them), c*x^k with k <= 40, binomials and dense:
+# the shapes the monomial and zero-addend shortcuts handle.
+# A binomial with a constant term is drawn on its own: it is a monomial
+# but for its first coefficient.
+_coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+_powers = st.integers(0, 40)
+sparse_polys = st.one_of(
+    st.just(ZERO),
+    st.sampled_from([1, -1]).map(lambda c: Polynomial((c,))),
+    _coeffs.map(lambda c: Polynomial((c,))),
+    st.builds(lambda c, k: from_terms({k: c}), _coeffs, _powers),
+    st.builds(lambda c, d, k: from_terms({0: c, k: d}), _coeffs, _coeffs, _powers),
+    st.dictionaries(_powers, _coeffs, min_size=2, max_size=2).map(from_terms),
+    st.builds(Polynomial, st.lists(_coeffs, max_size=9)),
+)
 
 
 def _trimmed(coeffs: list[Fraction]) -> tuple[Fraction, ...]:

@@ -17,32 +17,11 @@ from polytangent.polynomial import (
     polynomial_gcd,
 )
 from polytangent.tangency import taylor_shift
-from support import coefficient_sum, convolve, cross_multiplied_equal
+from support import coefficient_sum, convolve, cross_multiplied_equal, sparse_polys
 
 coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 polys = st.builds(Polynomial, st.lists(coeffs, max_size=9))
 points = st.fractions(min_value=-9, max_value=9, max_denominator=9)
-
-
-def from_terms(terms: dict) -> Polynomial:
-    """The polynomial sum of c*x^k over {k: c}, built from its coefficient list."""
-    return Polynomial([terms.get(k, 0) for k in range(max(terms, default=-1) + 1)])
-
-
-# Zero, constants (±1 among them), c*x^k with k <= 40, binomials and dense:
-# the shapes the constant, monomial and zero-addend shortcuts handle.
-# A binomial with a constant term is drawn on its own: it is a monomial
-# but for its first coefficient.
-powers = st.integers(0, 40)
-sparse_polys = st.one_of(
-    st.just(ZERO),
-    st.sampled_from([1, -1]).map(lambda c: Polynomial((c,))),
-    coeffs.map(lambda c: Polynomial((c,))),
-    st.builds(lambda c, k: from_terms({k: c}), coeffs, powers),
-    st.builds(lambda c, d, k: from_terms({0: c, k: d}), coeffs, coeffs, powers),
-    st.dictionaries(powers, coeffs, min_size=2, max_size=2).map(from_terms),
-    polys,
-)
 scalars = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-99, 99), coeffs)
 
 
@@ -129,6 +108,36 @@ class TestAgainstPlainArithmetic:
     def test_sum_and_difference(self, f, g):
         assert (f + g).coeffs == coefficient_sum(f.coeffs, g.coeffs)
         assert (f - g).coeffs == coefficient_sum(f.coeffs, g.coeffs, -1)
+
+
+class TestMonomialShift:
+    """A monomial operand c*x^j is a shift and a scale: j zeros, then the other operand."""
+
+    @given(sparse_polys, st.integers(0, 40))
+    def test_power_of_x_puts_zeros_in_front(self, f, j):
+        for product in (X**j * f, f * X**j):
+            if not f:
+                assert product.coeffs == ()
+                continue
+            assert product.coeffs[:j] == (0,) * j
+            assert product.coeffs[j:] == f.coeffs
+            if sum(1 for c in f.coeffs if c) > 1:
+                # f is not a monomial, so x^j shifts it: its own Fraction
+                # objects, no arithmetic.
+                assert all(p is c for p, c in zip(product.coeffs[j:], f.coeffs))
+
+    @given(sparse_polys, scalars, st.integers(0, 40))
+    def test_scaled_monomial_matches_the_product_oracle(self, f, c, j):
+        m = c * X**j
+        expected = convolve(m.coeffs, f.coeffs)
+        assert (m * f).coeffs == expected
+        assert (f * m).coeffs == expected
+
+    @given(sparse_polys)
+    def test_factor_one_returns_the_operand(self, f):
+        assert f * 1 is f and 1 * f is f and f * ONE is f
+        # Of two constants the right one scales the left, so ONE * c is a new c.
+        assert ONE * f is f if f.degree else ONE * f == f
 
 
 class TestRingOperations:

@@ -33,12 +33,15 @@ from support import (
     power_rule_derivative,
     rand_polynomial,
     rand_rational,
+    sparse_polys,
 )
 
 coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 polys = st.builds(Polynomial, st.lists(coeffs, max_size=9))
 points = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 small_factors = st.builds(Polynomial, st.lists(coeffs, min_size=1, max_size=3)).filter(bool)
+_rng = random.Random(128)
+DENSE_128 = Polynomial([rand_rational(_rng) for _ in range(128)] + [1])
 
 
 class TestTaylorShift:
@@ -194,7 +197,10 @@ class TestDerivative:
         assert derivative(Polynomial([9])) == ZERO
         assert derivative(ZERO) == ZERO
 
-    @given(polys)
+    # Monomials up to x^40, binomials with a constant term and zero take the
+    # shift for x at every Horner step; so does a seeded dense degree-128 f.
+    @given(sparse_polys)
+    @example(DENSE_128)
     def test_agrees_with_power_rule_oracle(self, f):
         assert derivative(f) == power_rule_derivative(f)
 
