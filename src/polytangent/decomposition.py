@@ -74,7 +74,7 @@ def decompose(f: Polynomial, x0) -> Decomposition:
     """
     x0 = exact(x0)
     expansion = taylor_shift(f, x0)
-    remainder = Polynomial((0, 0) + expansion.coeffs[2:])
+    remainder = Polynomial._trusted([Fraction(0), Fraction(0), *expansion.coeffs[2:]])
     return Decomposition(x0, expansion.coefficient(0), expansion.coefficient(1), remainder)
 
 

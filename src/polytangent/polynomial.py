@@ -117,7 +117,9 @@ class Polynomial:
         if isinstance(other, Polynomial):
             b = other.coeffs
         elif isinstance(other, (int, Fraction)):
-            b = (other,)  # c*x^0, 0 included: one coefficient, never swapped left
+            if not other:
+                return ZERO  # multiplies no coefficient
+            b = (other,)  # c*x^0: one coefficient, never swapped left
         else:
             return NotImplemented
         a = self.coeffs

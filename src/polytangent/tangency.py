@@ -5,11 +5,11 @@ A line y = k*x + b is tangent to a polynomial f at x = p exactly when
 
     f(x) - (k*x + b) = (x - p)**2 * Q(x)
 
-for some cofactor polynomial Q.  Read the other way, this is division
-with remainder: the tangent is f mod (x - p)**2, the unique polynomial
-of degree below 2 left over, and the cofactor Q is the quotient.  Every
-constructed tangent carries its cofactor, and the factorization above is
-re-checked by exact multiplication before the tangent is returned.
+for some cofactor polynomial Q.  The tangent is f mod (x - p)**2, from
+two synthetic divisions by (x - p): the remainders are f(p), then the
+slope k, so b = f(p) - p*k, and Q is the second quotient; the
+factorization is re-checked by exact multiplication.  The multiplicity
+divides until a remainder is nonzero; n divisions give the Taylor shift.
 
 Letting p vary produces the derivative as a function.  It is generated
 here in one pass by evaluating f at the dual element x + eps over the
@@ -23,16 +23,10 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from fractions import Fraction
 
 from .dual import Dual, eval_poly
-from .polynomial import (
-    ONE,
-    LinearFunction,
-    Polynomial,
-    RationalFunction,
-    X,
-    polynomial_gcd,
-)
+from .polynomial import ONE, LinearFunction, Polynomial, RationalFunction, X, polynomial_gcd
 from .rational import exact
 
 # Marker for "the difference is identically zero": a line coincident
@@ -65,19 +59,21 @@ class TangentLine(namedtuple("TangentLine", "point slope intercept cofactor")):
         return self.line.equation()
 
 
-def taylor_shift(f: Polynomial, center) -> Polynomial:
-    """f(center + t) as a polynomial in t, by repeated synthetic division.
+def _divide(cs: list[Fraction], p: Fraction) -> tuple[list[Fraction], Fraction]:
+    """Divide sum cs[i]*x**i by (x - p) by Horner, in place: (quotient, remainder f(p))."""
+    for j in range(len(cs) - 2, -1, -1):
+        cs[j] += p * cs[j + 1]
+    return cs[1:], cs[0]
 
-    In-place Horner-style updates, O(n**2) exact operations; the
-    leading coefficient is unchanged.
-    """
+
+def taylor_shift(f: Polynomial, center) -> Polynomial:
+    """f(center + t) in t: the remainders of n divisions by (x - center), O(n**2)."""
     p = exact(center)
-    cs = list(f.coeffs)
-    n = len(cs)
-    for i in range(n):
-        for j in range(n - 2, i - 1, -1):
-            cs[j] += p * cs[j + 1]
-    return Polynomial._trusted(cs)
+    cs, out = list(f.coeffs), []
+    while cs:
+        cs, r = _divide(cs, p)
+        out.append(r)
+    return Polynomial._trusted(out)
 
 
 def valuation(g: Polynomial):
@@ -89,9 +85,16 @@ def intersection_multiplicity(f: Polynomial, line: LinearFunction, point):
     """Largest m with (x - point)**m dividing f - line; INFINITE if identical.
 
     m = 0 means the line misses (point, f(point)); m = 1 is a plain
-    crossing; m >= 2 is tangency.
+    crossing; m >= 2 is tangency.  Division by (x - point) stops at the
+    first nonzero remainder: m + 1 divisions, O((m + 1)*n) operations.
     """
-    return valuation(taylor_shift(f - line.as_polynomial(), point))
+    p = exact(point)
+    cs = list((f - line.as_polynomial()).coeffs)
+    for m in range(len(cs)):  # at the latest, the leading coefficient is a nonzero remainder
+        cs, r = _divide(cs, p)
+        if r:
+            return m
+    return INFINITE
 
 
 def is_tangent(f: Polynomial, line: LinearFunction, point) -> bool:
@@ -106,22 +109,17 @@ def is_tangent(f: Polynomial, line: LinearFunction, point) -> bool:
 def tangent_at(f: Polynomial, point) -> TangentLine:
     """Construct the unique tangent to f at the given abscissa.
 
-    The tangent is f mod (x - p)**2: dividing f by (x - p)**2 leaves
-    the remainder k*x + b, which is the tangent line, and the quotient
-    Q, which is the cofactor.  The factorization f - (k*x + b) =
-    (x - p)**2 * Q is re-verified by multiplication, with (x - p)**2
-    built again rather than reused from the division, before returning.
-
-    Degenerate inputs are fine: constants get their own horizontal
-    line, the zero polynomial gets y = 0, both with a zero cofactor.
+    Two synthetic divisions: f = (x - p)*q1 + f(p) and q1 = (x - p)*Q + k,
+    so f - (k*x + b) = (x - p)**2 * Q with b = f(p) - p*k, re-verified by
+    multiplication with (x - p)**2 built afresh.  A constant gets its own
+    horizontal line, the zero polynomial y = 0, both with a zero cofactor.
     """
     p = exact(point)
-    cofactor, line = divmod(f, Polynomial((p * p, -2 * p, 1)))
-    k, b = line.coefficient(1), line.coefficient(0)
+    q1, value = _divide(list(f.coeffs) + [Fraction(0)] * (2 - len(f.coeffs)), p)
+    q, k = _divide(q1, p)
+    b, cofactor = value - p * k, Polynomial._trusted(q)
     if (X - p) ** 2 * cofactor + Polynomial((b, k)) != f:
-        raise CertificateError(
-            f"tangent certificate failed for f = {f} at p = {p}"
-        )
+        raise CertificateError(f"tangent certificate failed for f = {f} at p = {p}")
     return TangentLine(p, k, b, cofactor)
 
 

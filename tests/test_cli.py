@@ -12,10 +12,10 @@ from pathlib import Path
 import pytest
 
 import polytangent
-from polytangent import cli
+from polytangent import cli, tangency
 from polytangent.decomposition import MAX_STEPS
 from polytangent.parser import MAX_EXPONENT
-from polytangent.polynomial import Polynomial, X
+from polytangent.polynomial import X
 from polytangent.tangency import CertificateError, tangent_at
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -328,13 +328,13 @@ class TestExitCodes:
         assert json.loads(out)["status"] == "error"
 
     def test_recheck_catches_a_wrong_quotient(self, capsys, monkeypatch):
-        divide = Polynomial.__divmod__
+        divide = tangency._divide
 
-        def corrupted(f, g):
-            q, r = divide(f, g)
-            return q + 1, r
+        def corrupted(cs, p):  # adds 1 to each quotient's constant term
+            q, r = divide(cs, p)
+            return [q[0] + 1, *q[1:]], r
 
-        monkeypatch.setattr(Polynomial, "__divmod__", corrupted)
+        monkeypatch.setattr(tangency, "_divide", corrupted)
         with pytest.raises(CertificateError):
             tangent_at(X**3, 2)
         code, out = run_cli(capsys, "--json", "tangent", "x^3", "2")

@@ -139,6 +139,21 @@ class TestMonomialShift:
         # Of two constants the right one scales the left, so ONE * c is a new c.
         assert ONE * f is f if f.degree else ONE * f == f
 
+    @given(sparse_polys)
+    def test_factor_zero_gives_zero(self, f):
+        assert f * 0 == ZERO and 0 * f == ZERO and f * Fraction(0) == ZERO
+        assert (f * 0).coeffs == (0 * f).coeffs == (f * Fraction(0)).coeffs == ()
+
+    def test_factor_zero_multiplies_no_coefficient(self):
+        class Unmultipliable(Fraction):
+            def __mul__(self, other):
+                raise AssertionError("a zero factor multiplied a coefficient")
+
+            __rmul__ = __mul__
+
+        f = Polynomial._trusted([Unmultipliable(3), Unmultipliable(-2)])
+        assert f * 0 == ZERO and 0 * f == ZERO and f * Fraction(0) == ZERO
+
 
 class TestRingOperations:
     def test_add_cancellation_renormalizes(self):

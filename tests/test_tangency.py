@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from polytangent.polynomial import (
@@ -25,6 +25,7 @@ from polytangent.tangency import (
     ratfun_derivative,
     tangent_at,
     taylor_shift,
+    valuation,
 )
 from support import (
     binomial_shift,
@@ -92,6 +93,38 @@ class TestIntersectionMultiplicity:
 
     def test_higher_multiplicity(self):
         assert intersection_multiplicity(X**3, LinearFunction(0, 0), 0) == 3
+
+    @given(st.one_of(polys, sparse_polys), points, st.integers(0, 5), coeffs, coeffs)
+    @example(ONE, Fraction(0), 0, Fraction(0), Fraction(0))
+    @example(X - 3, Fraction(1, 3), 5, Fraction(-2), Fraction(7, 2))
+    def test_constructed_multiplicity(self, g, p, m, k, b):
+        """f = (x - p)**m * g + (k*x + b) with g(p) != 0 meets the line with multiplicity m."""
+        assume(g(p) != 0)
+        line = LinearFunction(k, b)
+        f = (X - p) ** m * g + line.as_polynomial()
+        assert intersection_multiplicity(f, line, p) == m
+        assert is_tangent(f, line, p) == (m >= 2)
+
+    @given(st.one_of(polys, sparse_polys), coeffs, coeffs, points)
+    @example(2 * X + 1, Fraction(2), Fraction(1), Fraction(4))  # a coincident line
+    @example(ZERO, Fraction(0), Fraction(0), Fraction(-1, 2))
+    @example(ZERO, Fraction(3), Fraction(0), Fraction(0))
+    def test_matches_binomial_shift_oracle(self, f, k, b, p):
+        line = LinearFunction(k, b)
+        expected = valuation(Polynomial(binomial_shift(f - line.as_polynomial(), p)))
+        assert intersection_multiplicity(f, line, p) == expected
+
+    def test_degree_1024_stops_after_three_divisions(self):
+        """m + 1 divisions: a full Taylor shift at this degree takes about 100 times longer."""
+        rng = random.Random(1024)
+        p = Fraction(1, 3)
+        g = Polynomial([rand_rational(rng) for _ in range(1022)] + [1])
+        assert g(p) != 0
+        line = LinearFunction(Fraction(-5, 7), 2)
+        f = (X - p) ** 2 * g + line.as_polynomial()
+        assert f.degree == 1024
+        assert intersection_multiplicity(f, line, p) == 2
+        assert is_tangent(f, line, p)
 
 
 class TestIsTangent:
