@@ -20,7 +20,9 @@ from fractions import Fraction
 
 from .decomposition import decompose, quotient_table, remainder_valuation
 from .dual import Dual, ElementaryFn, eval_elementary, eval_poly
-from .parser import MAX_EXPONENT, LoweringError, ParseError, lower_poly, lower_ratfun, parse
+from .parser import (
+    MAX_DEGREE, MAX_EXPONENT, LoweringError, ParseError, lower_poly, lower_ratfun, parse
+)
 from .plotting import render_figure
 from .polynomial import LinearFunction, Polynomial, X
 from .rational import to_decimal
@@ -197,6 +199,9 @@ def _cmd_table(args):
 def _cmd_rules(args):
     f = _poly(args.f)
     g = _poly(args.g)
+    composed = (f.degree or 0) * (g.degree or 0)  # the chain rule builds f(g)
+    if composed > MAX_DEGREE:
+        raise LoweringError(f"f(g) has degree {composed}, over the limit of {MAX_DEGREE}")
     reports = []
     lines = [f"differentiation rules for f = {f}, g = {g}"]
     for name in RULES:

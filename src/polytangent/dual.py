@@ -16,7 +16,7 @@ class DomainError(ValueError):
     """An elementary function was evaluated outside its domain."""
 
 
-class Dual:
+class Dual(namedtuple("Dual", "real eps")):
     """a + b*eps over a pluggable scalar domain.
 
     Multiplication drops the eps**2 term:
@@ -24,19 +24,7 @@ class Dual:
     Scalars mix in as s = s + 0*eps.
     """
 
-    __slots__ = ("real", "eps")
-
-    def __init__(self, real, eps):
-        self.real = real
-        self.eps = eps
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Dual):
-            return NotImplemented
-        return self.real == other.real and self.eps == other.eps
-
-    def __hash__(self):
-        return hash((self.real, self.eps))
+    __slots__ = ()
 
     def __add__(self, other) -> "Dual":
         if isinstance(other, Dual):
@@ -65,9 +53,6 @@ class Dual:
         return Dual(self.real * other, self.eps * other)
 
     __rmul__ = __mul__
-
-    def __repr__(self) -> str:
-        return f"Dual({self.real!r}, {self.eps!r})"
 
 
 def eval_poly(f: "Polynomial", x: Dual) -> Dual:

@@ -3,7 +3,7 @@
 Grammar (loosest to tightest binding):
 
     expr   := term (("+"|"-") term)*
-    term   := unary (("*"|"/") unary)*
+    term   := unary (("*"|"/")? unary)*   (no operator: next is "x" or "(")
     unary  := "-" unary | power
     power  := atom ("^" nonneg_int)?
     atom   := number | "x" | "(" expr ")"
@@ -11,9 +11,10 @@ Grammar (loosest to tightest binding):
 
 Whitespace between tokens is ignored.  Decimal literals convert exactly
 (1.25 becomes 5/4).  Implicit multiplication like ``2x``, ``2(x+1)`` or
-``(x-2)(x-3)`` is accepted by the lexer and normalized to ``*``.
-Exponents must be literal non-negative integers, and the only variable
-is ``x``.
+``(x-2)(x-3)`` is read by the grammar, not inserted by the lexer: in a
+term, an ``x`` or ``(`` right after a unary is a ``*``, so it binds like
+an explicit one (``1/2x`` is x/2).  Exponents must be literal
+non-negative integers, and the only variable is ``x``.
 
 No syntax tree is built.  The grammar is one recursive descent that
 folds each production as it reads it, and ``parse`` runs it twice over
@@ -26,6 +27,7 @@ constant divisor folds into the coefficients, so ``1/2*x`` means
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 from fractions import Fraction
 
@@ -64,52 +66,26 @@ class Token(namedtuple("Token", "kind value pos")):
     __slots__ = ()
 
 
+# \d is any Unicode decimal digit, as Fraction accepts; "1." is malformed.
+_TOKEN = re.compile(r"\d+(?:\.\d+|\.)?|\S")
+
+
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            start = i
-            while i < n and text[i].isdigit():
-                i += 1
-            if i < n and text[i] == ".":
-                if i + 1 < n and text[i + 1].isdigit():
-                    i += 1
-                    while i < n and text[i].isdigit():
-                        i += 1
-                else:
-                    raise ParseError(i, "malformed decimal literal")
-            tokens.append(Token("num", Fraction(text[start:i]), start))
-            continue
-        if ch == "x":
-            tokens.append(Token("x", None, i))
-            i += 1
-            continue
-        if ch in "+-*/^()":
-            tokens.append(Token(ch, None, i))
-            i += 1
-            continue
-        if ch.isalpha():
-            raise ParseError(i, f"unknown symbol {ch!r}; the only variable is x")
-        raise ParseError(i, f"unexpected character {ch!r}")
-    tokens.append(Token("end", None, n))
-    return _insert_implicit_multiplication(tokens)
-
-
-def _insert_implicit_multiplication(tokens: list[Token]) -> list[Token]:
-    out = [tokens[0]]
-    for tok in tokens[1:]:
-        prev = out[-1]
-        if prev.kind in ("num", "x", ")") and tok.kind in ("x", "("):
-            out.append(Token("*", None, tok.pos))
-        out.append(tok)
-    return out
-
-
+    for m in _TOKEN.finditer(text):
+        lexeme, pos = m.group(), m.start()
+        if lexeme[0].isdecimal():
+            if lexeme[-1] == ".":
+                raise ParseError(m.end() - 1, "malformed decimal literal")
+            tokens.append(Token("num", Fraction(lexeme), pos))
+        elif lexeme in "x+-*/^()":
+            tokens.append(Token(lexeme, None, pos))
+        elif lexeme.isalpha():
+            raise ParseError(pos, f"unknown symbol {lexeme!r}; the only variable is x")
+        else:
+            raise ParseError(pos, f"unexpected character {lexeme!r}")
+    tokens.append(Token("end", None, len(text)))
+    return tokens
 
 
 # -- one grammar, two folds ----------------------------------------------------
@@ -142,9 +118,13 @@ class _Descent:
         return acc
 
     def term(self):
+        # A unary ends in a number, x or ")", so an x or "(" right after one
+        # is an implicit "*": 2x, 2(x+1), (x-2)(x-3).
         acc = self.unary()
-        while self.peek().kind in ("*", "/"):
-            acc = self.binary(self.advance().kind, acc, self.unary())
+        while (kind := self.peek().kind) in ("*", "/", "x", "("):
+            if kind in ("*", "/"):
+                self.advance()
+            acc = self.binary("/" if kind == "/" else "*", acc, self.unary())
         return acc
 
     def unary(self):
@@ -226,11 +206,6 @@ class _Degrees(_Descent):
         return self._bound(max(n1 + d2, n2 + d1), d1 + d2)
 
 
-def _mul(a: Polynomial, b: Polynomial) -> Polynomial:
-    """a * b, skipping a unit denominator factor (ONE itself) rather than multiplying by it."""
-    return a if b is ONE else b if a is ONE else a * b
-
-
 def _fold_constant(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
     """(num, den), with a constant den folded into num so that den is ONE or has x."""
     if den.degree:
@@ -268,16 +243,16 @@ class _Values(_Descent):
     def binary(self, op, a, b):
         (n1, d1), (n2, d2) = a, b
         if op == "*":
-            return _mul(n1, n2), _mul(d1, d2)
+            return n1 * n2, d1 * d2
         if op == "/":
             if not n2:
                 raise LoweringError("division by zero")
             if n2.degree:
                 self.x_divisor = True
-            return _fold_constant(_mul(n1, d2), _mul(d1, n2))
+            return _fold_constant(n1 * d2, d1 * n2)
         # a/b +- c/d = (a*d +- c*b)/(b*d), or (a +- c)/b when b = d
         if d1 != d2:
-            n1, n2, d1 = _mul(n1, d2), _mul(n2, d1), _mul(d1, d2)
+            n1, n2, d1 = n1 * d2, n2 * d1, d1 * d2
         return (n1 + n2 if op == "+" else n1 - n2), d1
 
 

@@ -110,26 +110,22 @@ def render_figure(
 
     curve = _sample_curve(f, lo, hi, samples)
 
-    ax, ay = float(p), float(f(p))
+    fp = k * p + b  # the tangent meets f at p
+    ax, ay = float(p), float(fp)
     tangent_ends = [(float(lo), float(k * lo + b)), (float(hi), float(k * hi + b))]
 
     info: dict = {"slope": k, "intercept": b, "samples": samples}
 
     ys = [y for _, y in curve] + [y for _, y in tangent_ends] + [ay]
-    label_points: list[tuple[str, float, float, str]] = []
 
     if dx is not None:
         dx = exact(dx)
         if not dx:
             raise ValueError("secant increment dx must be nonzero")
-        dy_actual = increment(f, p, dx)
-        dy_linear = k * dx
-        bx, by = float(p + dx), float(f(p + dx))
-        cy = ay  # corner of the increment triangle, (point + dx, f(point))
-        dyl_y = float(f(p) + dy_linear)
+        info["delta_y"] = dy = increment(f, p, dx)
+        info["differential"] = dl = k * dx
+        bx, by, dyl_y = float(p + dx), float(fp + dy), float(fp + dl)
         ys += [by, dyl_y]
-        info["delta_y"] = dy_actual
-        info["differential"] = dy_linear
 
     y_lo, y_hi = min(ys), max(ys)
     pad = (y_hi - y_lo) * 0.05 or 1.0
@@ -163,30 +159,28 @@ def render_figure(
     (tx1, ty1), (tx2, ty2) = tangent_ends
     data.append(_line("tangent", tx1, ty1, tx2, ty2, TANGENT_COLOR, 2))
 
+    markers = [(ax, ay, TANGENT_COLOR)]
+    label_points = [("A", px(ax) - 16, py(ay) - 8, TANGENT_COLOR)]
     if dx is not None:
         dashed = 'stroke-dasharray="6 4" '
         data += [
             _line("secant", ax, ay, bx, by, SECANT_COLOR, 2),
-            _line("delta-x", ax, cy, bx, cy, ANNOTATION_COLOR, 1.5, dashed),
-            _line("delta-y", bx, cy, bx, by, ANNOTATION_COLOR, 1.5, dashed),
-            _line("differential", bx, cy, bx, dyl_y, DIFFERENTIAL_COLOR, 3),
+            _line("delta-x", ax, ay, bx, ay, ANNOTATION_COLOR, 1.5, dashed),
+            _line("delta-y", bx, ay, bx, by, ANNOTATION_COLOR, 1.5, dashed),
+            _line("differential", bx, ay, bx, dyl_y, DIFFERENTIAL_COLOR, 3),
         ]
+        markers.append((bx, by, SECANT_COLOR))
         label_points += [
             ("B", px(bx) + 8, py(by) - 6, SECANT_COLOR),
-            ("Δx", (px(ax) + px(bx)) / 2, py(cy) + 16, ANNOTATION_COLOR),
-            ("Δy", px(bx) + 8, (py(cy) + py(by)) / 2, ANNOTATION_COLOR),
-            ("dy", px(bx) - 26, (py(cy) + py(dyl_y)) / 2, DIFFERENTIAL_COLOR),
+            ("Δx", (px(ax) + px(bx)) / 2, py(ay) + 16, ANNOTATION_COLOR),
+            ("Δy", px(bx) + 8, (py(ay) + py(by)) / 2, ANNOTATION_COLOR),
+            ("dy", px(bx) - 26, (py(ay) + py(dyl_y)) / 2, DIFFERENTIAL_COLOR),
         ]
 
-    label_points.insert(0, ("A", px(ax) - 16, py(ay) - 8, TANGENT_COLOR))
-
     labels = [
-        f'<circle cx="{_fmt(px(ax))}" cy="{_fmt(py(ay))}" r="4" fill="{TANGENT_COLOR}"/>'
+        f'<circle cx="{_fmt(px(mx))}" cy="{_fmt(py(my))}" r="4" fill="{color}"/>'
+        for mx, my, color in markers
     ]
-    if dx is not None:
-        labels.append(
-            f'<circle cx="{_fmt(px(bx))}" cy="{_fmt(py(by))}" r="4" fill="{SECANT_COLOR}"/>'
-        )
     labels += [
         f'<text x="{_fmt(lx)}" y="{_fmt(ly)}" fill="{color}">{text}</text>'
         for text, lx, ly, color in label_points

@@ -14,7 +14,7 @@ import pytest
 import polytangent
 from polytangent import cli, tangency
 from polytangent.decomposition import MAX_STEPS
-from polytangent.parser import MAX_EXPONENT
+from polytangent.parser import MAX_DEGREE, MAX_EXPONENT
 from polytangent.polynomial import X
 from polytangent.tangency import CertificateError, tangent_at
 
@@ -32,6 +32,11 @@ GOLDEN_CASES = [
     ("check.json", ("--json", "check", "x^2", "5", "-6", "3")),
     ("decompose.json", ("--json", "decompose", "x^2", "3")),
     ("table.json", ("--json", "table", "x^2", "3", "--steps", "3")),
+    ("mult.json", ("--json", "mult", "x^2", "6", "-9", "3")),
+    ("expand.json", ("--json", "expand", "x^3 - x", "2")),
+    ("rules.json", ("--json", "rules", "x^2 + 1", "0")),
+    ("dual.json", ("--json", "dual", "x^3", "2", "1")),
+    ("dual-exp.json", ("--json", "dual", "exp", "1", "2")),
     ("tangent.txt", ("tangent", "x^3 - 2*x", "1/2")),
     ("derive.txt", ("derive", "(x^2+1)/(x-1)")),
     ("derive-ratfun.json", ("--json", "derive", "(x^2 - 1)/(x - 1)^2 + 1/x")),
@@ -48,7 +53,7 @@ GOLDEN_CASES = [
 ]
 
 
-# The SVG each plot writes; its text output echoes the path, so it has no golden.
+# The SVG each plot writes.
 PLOT_GOLDEN_CASES = [
     ("plot-square.svg", ("plot", "x^2", "3", "--range", "0,6", "--dx", "2")),
     ("plot-axes.svg", ("plot", "--range=-2,3/2", "--", "x^3 - 2x", "-1/3")),
@@ -59,6 +64,15 @@ PLOT_GOLDEN_CASES = [
             "x^8/40 - 3x^7/20 + 2x^5/7 - x^3 + 5x/3 - 1/2", "1/2",
         ),
     ),
+]
+
+# A plot's envelope echoes its --out path, so these run in a fresh cwd with
+# the relative path fig.svg, and the figure must equal its SVG golden.
+PLOT_ENVELOPE_CASES = [
+    (f"{svg.removesuffix('.svg')}.{fmt}", svg, argv)
+    for svg, argv in PLOT_GOLDEN_CASES
+    if svg != "plot-square.svg"
+    for fmt in ("txt", "json")
 ]
 
 
@@ -77,6 +91,17 @@ class TestGoldens:
         code, _ = run_cli(capsys, argv[0], f"--out={out_svg}", *argv[1:])
         assert code == 0
         assert out_svg.read_bytes() == (GOLDEN / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "name,svg,argv", PLOT_ENVELOPE_CASES, ids=[c[0] for c in PLOT_ENVELOPE_CASES]
+    )
+    def test_plot_envelope_byte_identical(self, capsys, tmp_path, monkeypatch, name, svg, argv):
+        monkeypatch.chdir(tmp_path)
+        flags = ("--json",) if name.endswith(".json") else ()
+        code, out = run_cli(capsys, *flags, argv[0], "--out=fig.svg", *argv[1:])
+        assert code == 0
+        assert out == (GOLDEN / name).read_text(encoding="utf-8")
+        assert (tmp_path / "fig.svg").read_bytes() == (GOLDEN / svg).read_bytes()
 
     @pytest.mark.parametrize("name,argv", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
     def test_deterministic(self, capsys, name, argv):
@@ -317,6 +342,18 @@ class TestExitCodes:
         code, out = run_cli(capsys, "--json", "tangent", "x^2", "--", "-1e1024")
         assert code == 0
         assert json.loads(out)["result"]["slope"] == "-2" + "0" * 1024
+
+    def test_rules_composition_over_the_bound(self, capsys, monkeypatch):
+        # deg f * deg g = 1028: refused before any rule runs
+        monkeypatch.setattr(cli, "VERIFIERS", {})
+        code, out = run_cli(capsys, "--json", "rules", "x^4 - x", "x^257 + 1")
+        assert code == 2
+        assert f"limit of {MAX_DEGREE}" in json.loads(out)["error"]
+
+    def test_rules_composition_at_the_bound(self, capsys):
+        code, out = run_cli(capsys, "--json", "rules", "x^4 - x", "x^256 + 1")
+        assert code == 0
+        assert all(r["holds"] for r in json.loads(out)["result"]["reports"])
 
     def test_certificate_failure_is_exit_3(self, capsys, monkeypatch):
         def explode(*_args, **_kwargs):

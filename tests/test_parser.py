@@ -1,5 +1,6 @@
 """Expression parsing, lowering, and the render round trip."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,23 @@ coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 polys = st.builds(Polynomial, st.lists(coeffs, max_size=11))
 small_polys = st.builds(Polynomial, st.lists(coeffs, max_size=6))
 ratfuns = st.builds(RationalFunction, small_polys, small_polys.filter(bool))
+
+# Expressions whose factors may be juxtaposed, as in 2x, x(x+1) or (x-1)(x+2);
+# many are malformed, such as "2 3" or "x^2^2".
+juxtaposed = st.recursive(
+    st.sampled_from(["x", "2", "0.5", "13", "-x", "-3"]),
+    lambda inner: st.one_of(
+        st.builds("({})".format, inner),
+        st.builds("{}^{}".format, inner, st.integers(0, 2)),
+        st.builds("{}{}{}".format, inner, st.sampled_from(["", "", " ", "*", "/", "-"]), inner),
+    ),
+    max_leaves=8,
+)
+
+
+def explicit(text: str) -> str:
+    """text with a "*" written out wherever a number, x or ")" meets an x or "("."""
+    return re.sub(r"([\dx)])(?=\s*[x(])", r"\1*", text)
 
 
 def cross_multiplied(r: RationalFunction, op: str, s: RationalFunction) -> RationalFunction:
@@ -53,6 +71,23 @@ class TestParse:
         assert lower_poly(parse("(x-2)(x-3)")) == X**2 - 5 * X + 6
         assert lower_poly(parse("x(x+1)")) == X**2 + X
 
+    def test_implicit_multiplication_binds_like_an_explicit_one(self):
+        assert lower_poly(parse("2x^2")) == 2 * X**2
+        assert lower_poly(parse("1/2x")) == Fraction(1, 2) * X
+        assert lower_poly(parse("x^2(x+1)")) == X**3 + X**2
+        assert lower_poly(parse("-2x")) == -2 * X
+
+    @given(juxtaposed)
+    @example("(x-1) (x+2)x^2 / 2(x+1)")
+    def test_writing_out_implicit_multiplication_changes_nothing(self, text):
+        try:
+            expected = parse(explicit(text))
+        except (ParseError, LoweringError) as exc:
+            with pytest.raises(type(exc)):
+                parse(text)
+        else:
+            assert parse(text) == expected
+
     def test_decimal_literals_convert_exactly(self):
         assert lower_poly(parse("0.5*x")) == Fraction(1, 2) * X
         assert lower_poly(parse("1.25")) == Polynomial([Fraction(5, 4)])
@@ -73,6 +108,8 @@ class TestParseErrors:
             ("", 0),
             ("x )", 2),
             ("1.", 1),
+            ("1.x", 1),
+            ("2 + ①", 4),  # str.isdigit accepts it, but it is no decimal digit
         ],
     )
     def test_positioned_errors(self, text, position):
@@ -81,6 +118,10 @@ class TestParseErrors:
         assert err.value.position == position
         assert 0 <= err.value.position <= len(text)
         assert str(err.value)
+
+    def test_superscript_digit_is_an_unexpected_character(self):
+        with pytest.raises(ParseError, match=r"^unexpected character '²' \(at offset 1\)$"):
+            parse("x²")
 
 
 class TestLowerPoly:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from polytangent.decomposition import Decomposition, QuotientRow
-from polytangent.dual import ElementaryFn
+from polytangent.dual import Dual, ElementaryFn
 from polytangent.parser import Token
 from polytangent.polynomial import LinearFunction, Polynomial, RationalFunction, X
 from polytangent.rules import RuleReport
@@ -22,6 +22,7 @@ VALUES = [
     (QuotientRow, {"h": Fraction(1, 10), "dy": Fraction(61, 100), "quotient": Fraction(61, 10),
                    "gap": Fraction(1, 10)}),
     (ElementaryFn, {"tag": "pow_const", "parameter": 0.5}),
+    (Dual, {"real": Fraction(1, 2), "eps": Fraction(-3)}),
     (RuleReport, {"rule": "sum", "lhs": RationalFunction(2 * X), "rhs": RationalFunction(2 * X)}),
 ]
 
