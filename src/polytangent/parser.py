@@ -16,17 +16,20 @@ term, an ``x`` or ``(`` right after a unary is a ``*``, so it binds like
 an explicit one (``1/2x`` is x/2).  Exponents must be literal
 non-negative integers, and the only variable is ``x``.
 
-No syntax tree is built.  The grammar is one recursive descent that
-folds each production as it reads it, and ``parse`` runs it twice over
-the tokens: once to check the syntax and bound every degree without
-arithmetic, then once to fold the value into an unreduced numerator and
-denominator.  A fraction such as ``1/2`` is an ordinary division, and a
-constant divisor folds into the coefficients, so ``1/2*x`` means
-(1/2)*x by left associativity, matching the canonical rendering.
+No syntax tree is built.  The grammar runs once, as a recursive descent
+that checks the syntax and writes the expression as a flat postfix list.
+Two loops over that list follow: the first bounds every degree without
+arithmetic, the second folds the value into an unreduced numerator and
+denominator.  In the fold, a part without x stays a plain ``Fraction``
+and becomes a ``Polynomial`` only where it meets x.  A fraction such as
+``1/2`` is an ordinary division, and a constant divisor folds into the
+coefficients, so ``1/2*x`` means (1/2)*x by left associativity, matching
+the canonical rendering.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from collections import namedtuple
 from fractions import Fraction
@@ -77,7 +80,8 @@ def tokenize(text: str) -> list[Token]:
         if lexeme[0].isdecimal():
             if lexeme[-1] == ".":
                 raise ParseError(m.end() - 1, "malformed decimal literal")
-            tokens.append(Token("num", Fraction(lexeme), pos))
+            value = Fraction(lexeme) if "." in lexeme else Fraction(int(lexeme))
+            tokens.append(Token("num", value, pos))
         elif lexeme in "x+-*/^()":
             tokens.append(Token(lexeme, None, pos))
         elif lexeme.isalpha():
@@ -88,122 +92,108 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
-# -- one grammar, two folds ----------------------------------------------------
+# -- one descent, two flat loops ----------------------------------------------
+#
+# The descent writes the expression as postfix code: a Fraction pushes a
+# constant, "x" pushes x, an int k raises the top value to the k-th power,
+# "neg" negates it, and "+", "-", "*" or "/" combines the top two.  Each
+# production takes the index of its first token and returns the index
+# after its last.
 
 
-class _Descent:
-    """The grammar, written once: a recursive descent that folds as it reads.
+def _expr(tokens: list[Token], i: int, code: list) -> int:
+    i = _term(tokens, i, code)
+    while (op := tokens[i].kind) in ("+", "-"):
+        i = _term(tokens, i + 1, code)
+        code.append(op)
+    return i
 
-    No tree is built.  A subclass says what each production folds to
-    (``number``, ``var``, ``neg``, ``pow`` and ``binary``), and ``parse``
-    runs two of them over the same tokens.
-    """
 
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.i = 0
+def _term(tokens: list[Token], i: int, code: list) -> int:
+    # A unary ends in a number, x or ")", so an x or "(" right after one
+    # is an implicit "*": 2x, 2(x+1), (x-2)(x-3).
+    i = _unary(tokens, i, code)
+    while (kind := tokens[i].kind) in ("*", "/", "x", "("):
+        if kind in ("*", "/"):
+            i += 1
+        i = _unary(tokens, i, code)
+        code.append("/" if kind == "/" else "*")
+    return i
 
-    def peek(self) -> Token:
-        return self.tokens[self.i]
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+def _unary(tokens: list[Token], i: int, code: list) -> int:
+    if tokens[i].kind != "-":
+        return _power(tokens, i, code)
+    i = _unary(tokens, i + 1, code)
+    code.append("neg")
+    return i
 
-    def expr(self):
-        acc = self.term()
-        while self.peek().kind in ("+", "-"):
-            acc = self.binary(self.advance().kind, acc, self.term())
-        return acc
 
-    def term(self):
-        # A unary ends in a number, x or ")", so an x or "(" right after one
-        # is an implicit "*": 2x, 2(x+1), (x-2)(x-3).
-        acc = self.unary()
-        while (kind := self.peek().kind) in ("*", "/", "x", "("):
-            if kind in ("*", "/"):
-                self.advance()
-            acc = self.binary("/" if kind == "/" else "*", acc, self.unary())
-        return acc
+def _power(tokens: list[Token], i: int, code: list) -> int:
+    i = _atom(tokens, i, code)
+    if tokens[i].kind != "^":
+        return i
+    tok = tokens[i + 1]
+    if tok.kind != "num" or tok.value.denominator != 1:
+        raise ParseError(tok.pos, "exponent must be a non-negative integer literal")
+    if tok.value > MAX_EXPONENT:
+        raise ParseError(tok.pos, f"exponent exceeds the limit of {MAX_EXPONENT}")
+    code.append(int(tok.value))
+    return i + 2
 
-    def unary(self):
-        if self.peek().kind == "-":
-            self.advance()
-            return self.neg(self.unary())
-        return self.power()
 
-    def power(self):
-        base = self.atom()
-        if self.peek().kind != "^":
-            return base
-        self.advance()
-        tok = self.peek()
-        if tok.kind != "num" or tok.value.denominator != 1:
-            raise ParseError(tok.pos, "exponent must be a non-negative integer literal")
-        if tok.value > MAX_EXPONENT:
-            raise ParseError(tok.pos, f"exponent exceeds the limit of {MAX_EXPONENT}")
-        self.advance()
-        return self.pow(base, int(tok.value))
-
-    def atom(self):
-        tok = self.peek()
-        if tok.kind == "num":
-            self.advance()
-            return self.number(tok.value)
-        if tok.kind == "x":
-            self.advance()
-            return self.var()
-        if tok.kind == "(":
-            self.advance()
-            inner = self.expr()
-            closing = self.peek()
-            if closing.kind != ")":
-                raise ParseError(closing.pos, "expected ')'")
-            self.advance()
-            return inner
-        if tok.kind == "end":
-            raise ParseError(tok.pos, "unexpected end of input")
+def _atom(tokens: list[Token], i: int, code: list) -> int:
+    tok = tokens[i]
+    if tok.kind == "num":
+        code.append(tok.value)
+    elif tok.kind == "x":
+        code.append("x")
+    elif tok.kind == "(":
+        i = _expr(tokens, i + 1, code)
+        if tokens[i].kind != ")":
+            raise ParseError(tokens[i].pos, "expected ')'")
+    elif tok.kind == "end":
+        raise ParseError(tok.pos, "unexpected end of input")
+    else:
         raise ParseError(tok.pos, f"unexpected {_describe(tok)}")
+    return i + 1
 
 
 def _describe(tok: Token) -> str:
     return "number" if tok.kind == "num" else f"token {tok.kind!r}"
 
 
-class _Degrees(_Descent):
-    """Bounds on the (numerator, denominator) degrees of each node once lowered.
+def _degree_peak(code: list) -> int:
+    """The largest bound on the (numerator, denominator) degrees of any part once lowered.
 
     The bounds are static: + and - follow a/b +- c/d = (a*d +- c*b)/(b*d),
-    * adds and ^ multiplies, whatever cancels in the values.  ``peak`` is
-    the largest bound at any node, so no intermediate result exceeds it.
+    * adds and ^ multiplies, whatever cancels in the values.
     """
-
+    stack: list[tuple[int, int]] = []
     peak = 0
-
-    def _bound(self, n: int, d: int) -> tuple[int, int]:
-        self.peak = max(self.peak, n, d)
-        return n, d
-
-    def number(self, value):
-        return 0, 0
-
-    def var(self):
-        return self._bound(1, 0)
-
-    def neg(self, a):
-        return a
-
-    def pow(self, a, k):
-        return self._bound(a[0] * k, a[1] * k)
-
-    def binary(self, op, a, b):
-        (n1, d1), (n2, d2) = a, b
-        if op == "*":
-            return self._bound(n1 + n2, d1 + d2)
-        if op == "/":
-            return self._bound(n1 + d2, d1 + n2)
-        return self._bound(max(n1 + d2, n2 + d1), d1 + d2)
+    for op in code:
+        if op.__class__ is Fraction:
+            stack.append((0, 0))
+            continue
+        if op == "neg":
+            continue
+        if op == "x":
+            n, d = 1, 0
+        elif op.__class__ is int:
+            n, d = stack.pop()
+            n, d = n * op, d * op
+        else:
+            n2, d2 = stack.pop()
+            n1, d1 = stack.pop()
+            if op == "*":
+                n, d = n1 + n2, d1 + d2
+            elif op == "/":
+                n, d = n1 + d2, d1 + n2
+            else:
+                n, d = max(n1 + d2, n2 + d1), d1 + d2
+        peak = max(peak, n, d)
+        stack.append((n, d))
+    return peak
 
 
 def _fold_constant(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
@@ -214,50 +204,64 @@ def _fold_constant(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polyno
     return (num if scale == 1 else num * (Fraction(1) / scale)), ONE
 
 
-class _Values(_Descent):
-    """The unreduced pair (num, den) whose quotient is each node.
+def _pair(value) -> tuple[Polynomial, Polynomial]:
+    """A stack value as (num, den): a constant becomes a Polynomial only when it meets x."""
+    return value if value.__class__ is tuple else (Polynomial._trusted([value]), ONE)
 
-    den is ONE itself or has x in it, so a polynomial folds to (p, ONE).
-    ``x_divisor`` records whether any divisor had x in it.  A power
-    reduces its base first: gcd(a, b) = 1 gives gcd(a**n, b**n) = 1.
-    """
 
-    x_divisor = False
-
-    def number(self, value):
-        return Polynomial((value,)), ONE
-
-    def var(self):
-        return X, ONE
-
-    def neg(self, a):
-        return -a[0], a[1]
-
-    def pow(self, a, k):
-        num, den = a
-        if den is ONE:
-            return num**k, ONE
-        base = RationalFunction(num, den)
-        return _fold_constant(base.num**k, base.den**k)
-
-    def binary(self, op, a, b):
-        (n1, d1), (n2, d2) = a, b
-        if op == "*":
-            return n1 * n2, d1 * d2
-        if op == "/":
-            if not n2:
-                raise LoweringError("division by zero")
-            if n2.degree:
-                self.x_divisor = True
-            return _fold_constant(n1 * d2, d1 * n2)
-        # a/b +- c/d = (a*d +- c*b)/(b*d), or (a +- c)/b when b = d
-        if d1 != d2:
-            n1, n2, d1 = n1 * d2, n2 * d1, d1 * d2
-        return (n1 + n2 if op == "+" else n1 - n2), d1
+_SCALAR_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 # (num, den, x_divisor), as parse returns it
 Lowered = tuple[Polynomial, Polynomial, bool]
+
+
+def _fold(code: list) -> Lowered:
+    """Run the postfix code: each value is a Fraction until x enters it, then (num, den).
+
+    num/den is unreduced, and den is ONE itself or has x in it, so a
+    polynomial folds to (p, ONE).  A power reduces its base first:
+    gcd(a, b) = 1 gives gcd(a**n, b**n) = 1.
+    """
+    stack: list = []
+    x_divisor = False
+    for op in code:
+        kind = op.__class__
+        if kind is Fraction:
+            stack.append(op)
+        elif op == "x":
+            stack.append((X, ONE))
+        elif kind is int:
+            a = stack.pop()
+            if a.__class__ is Fraction:
+                stack.append(a**op)
+            elif a[1] is ONE:
+                stack.append((a[0] ** op, ONE))
+            else:
+                base = RationalFunction(*a)
+                stack.append(_fold_constant(base.num**op, base.den**op))
+        elif op == "neg":
+            a = stack.pop()
+            stack.append(-a if a.__class__ is Fraction else (-a[0], a[1]))
+        else:
+            b, a = stack.pop(), stack.pop()
+            if op == "/" and not (b if b.__class__ is Fraction else b[0]):  # b, or its num, is 0
+                raise LoweringError("division by zero")
+            if a.__class__ is Fraction and b.__class__ is Fraction:
+                stack.append(_SCALAR_OPS[op](a, b))
+                continue
+            (n1, d1), (n2, d2) = _pair(a), _pair(b)
+            if op == "*":
+                stack.append((n1 * n2, d1 * d2))
+            elif op == "/":
+                x_divisor = x_divisor or bool(n2.degree)
+                stack.append(_fold_constant(n1 * d2, d1 * n2))
+            else:  # a/b +- c/d = (a*d +- c*b)/(b*d), or (a +- c)/b when b = d
+                if d1 != d2:
+                    n1, n2, d1 = n1 * d2, n2 * d1, d1 * d2
+                stack.append((n1 + n2 if op == "+" else n1 - n2, d1))
+    num, den = _pair(stack.pop())
+    return num, den, x_divisor
 
 
 def parse(text: str) -> Lowered:
@@ -271,16 +275,13 @@ def parse(text: str) -> Lowered:
     division by zero.
     """
     tokens = tokenize(text)
-    degrees = _Degrees(tokens)
-    degrees.expr()
-    trailing = degrees.peek()
+    code: list = []
+    trailing = tokens[_expr(tokens, 0, code)]
     if trailing.kind != "end":
         raise ParseError(trailing.pos, f"unexpected {_describe(trailing)}")
-    if degrees.peak > MAX_DEGREE:
+    if _degree_peak(code) > MAX_DEGREE:
         raise LoweringError(f"degree of the result exceeds the limit of {MAX_DEGREE}")
-    values = _Values(tokens)
-    num, den = values.expr()
-    return num, den, values.x_divisor
+    return _fold(code)
 
 
 def lower_poly(e: Lowered) -> Polynomial:

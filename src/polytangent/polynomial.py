@@ -115,6 +115,8 @@ class Polynomial:
         # j = 0) shifts the other operand by j and scales it by c unless c is
         # 1, so a factor 1 returns the other operand itself (it is immutable).
         if isinstance(other, Polynomial):
+            if self is ONE or other is ONE:  # the identity, before any scan
+                return other if self is ONE else self
             b = other.coeffs
         elif isinstance(other, (int, Fraction)):
             if not other:

@@ -18,19 +18,106 @@ ratfuns = st.builds(RationalFunction, small_polys, small_polys.filter(bool))
 # Expressions whose factors may be juxtaposed, as in 2x, x(x+1) or (x-1)(x+2);
 # many are malformed, such as "2 3" or "x^2^2".
 juxtaposed = st.recursive(
-    st.sampled_from(["x", "2", "0.5", "13", "-x", "-3"]),
+    st.sampled_from(["x", "2", "0.5", "13", "-x", "-3", "0"]),
     lambda inner: st.one_of(
         st.builds("({})".format, inner),
-        st.builds("{}^{}".format, inner, st.integers(0, 2)),
-        st.builds("{}{}{}".format, inner, st.sampled_from(["", "", " ", "*", "/", "-"]), inner),
+        st.builds("{}^{}".format, inner, st.integers(0, 3)),
+        st.builds("{}{}{}".format, inner, st.sampled_from(["", "", " ", *"*/-+"]), inner),
     ),
     max_leaves=8,
 )
+
+# (text, exception type, str(exception)) for lower_poly(parse(text)), one
+# group per kind of message, in the order the faults are reported.
+FAULTS = [
+    # unexpected character
+    ("x$2", ParseError, "unexpected character '$' (at offset 1)"),
+    ("x²", ParseError, "unexpected character '²' (at offset 1)"),
+    ("2 + ①", ParseError, "unexpected character '①' (at offset 4)"),
+    ("x & 1", ParseError, "unexpected character '&' (at offset 2)"),
+    ("x = 1", ParseError, "unexpected character '=' (at offset 2)"),
+    ("3,5", ParseError, "unexpected character ',' (at offset 1)"),
+    ("x·2", ParseError, "unexpected character '·' (at offset 1)"),
+    # unknown symbol
+    ("y + 1", ParseError, "unknown symbol 'y'; the only variable is x (at offset 0)"),
+    ("sin(x)", ParseError, "unknown symbol 's'; the only variable is x (at offset 0)"),
+    ("X^2", ParseError, "unknown symbol 'X'; the only variable is x (at offset 0)"),
+    ("2é", ParseError, "unknown symbol 'é'; the only variable is x (at offset 1)"),
+    # malformed decimal literal
+    ("1.", ParseError, "malformed decimal literal (at offset 1)"),
+    ("1.x", ParseError, "malformed decimal literal (at offset 1)"),
+    ("3. + x", ParseError, "malformed decimal literal (at offset 1)"),
+    # unexpected token
+    ("x + * 2", ParseError, "unexpected token '*' (at offset 4)"),
+    ("x )", ParseError, "unexpected token ')' (at offset 2)"),
+    ("*x", ParseError, "unexpected token '*' (at offset 0)"),
+    (")", ParseError, "unexpected token ')' (at offset 0)"),
+    ("()", ParseError, "unexpected token ')' (at offset 1)"),
+    ("x + + 1", ParseError, "unexpected token '+' (at offset 4)"),
+    ("(x+1))", ParseError, "unexpected token ')' (at offset 5)"),
+    ("x^2 ^ 3", ParseError, "unexpected token '^' (at offset 4)"),
+    # unexpected number
+    ("2 3", ParseError, "unexpected number (at offset 2)"),
+    ("x 2", ParseError, "unexpected number (at offset 2)"),
+    ("(x)2", ParseError, "unexpected number (at offset 3)"),
+    ("x^2 3", ParseError, "unexpected number (at offset 4)"),
+    ("2.5 7", ParseError, "unexpected number (at offset 4)"),
+    # unexpected end of input
+    ("", ParseError, "unexpected end of input (at offset 0)"),
+    ("   ", ParseError, "unexpected end of input (at offset 3)"),
+    ("x +", ParseError, "unexpected end of input (at offset 3)"),
+    ("(", ParseError, "unexpected end of input (at offset 1)"),
+    ("-", ParseError, "unexpected end of input (at offset 1)"),
+    ("x*", ParseError, "unexpected end of input (at offset 2)"),
+    ("x/", ParseError, "unexpected end of input (at offset 2)"),
+    ("2(", ParseError, "unexpected end of input (at offset 2)"),
+    # expected ')'
+    ("(x+1", ParseError, "expected ')' (at offset 4)"),
+    ("((x)", ParseError, "expected ')' (at offset 4)"),
+    ("(1 2)", ParseError, "expected ')' (at offset 3)"),
+    ("(x^2 3", ParseError, "expected ')' (at offset 5)"),
+    # an exponent that is no non-negative integer literal
+    ("x^(-1)", ParseError, "exponent must be a non-negative integer literal (at offset 2)"),
+    ("x^-1", ParseError, "exponent must be a non-negative integer literal (at offset 2)"),
+    ("x^1.5", ParseError, "exponent must be a non-negative integer literal (at offset 2)"),
+    ("x^x", ParseError, "exponent must be a non-negative integer literal (at offset 2)"),
+    ("x^", ParseError, "exponent must be a non-negative integer literal (at offset 2)"),
+    ("2^0.5", ParseError, "exponent must be a non-negative integer literal (at offset 2)"),
+    # an exponent over MAX_EXPONENT
+    ("x^1025", ParseError, "exponent exceeds the limit of 1024 (at offset 2)"),
+    ("2^99999999", ParseError, "exponent exceeds the limit of 1024 (at offset 2)"),
+    ("(x+1)^2000", ParseError, "exponent exceeds the limit of 1024 (at offset 6)"),
+    # a degree over MAX_DEGREE
+    ("x*(x+1)^1024", LoweringError, "degree of the result exceeds the limit of 1024"),
+    ("((x+1)^8)^300", LoweringError, "degree of the result exceeds the limit of 1024"),
+    ("1/x^600 + 1/x^600", LoweringError, "degree of the result exceeds the limit of 1024"),
+    ("x^1024*x", LoweringError, "degree of the result exceeds the limit of 1024"),
+    ("1/0 + x^1024*x", LoweringError, "degree of the result exceeds the limit of 1024"),
+    # division by zero
+    ("x/0", LoweringError, "division by zero"),
+    ("1/(x-x)", LoweringError, "division by zero"),
+    ("x/(2-2)", LoweringError, "division by zero"),
+    ("1/x + 1/0", LoweringError, "division by zero"),
+    ("(1/0)^0", LoweringError, "division by zero"),
+    ("1/0.0", LoweringError, "division by zero"),
+    # x in a denominator, raised by lower_poly
+    ("1/x", LoweringError, "x in a denominator: not a polynomial"),
+    ("(1/x)*x", LoweringError, "x in a denominator: not a polynomial"),
+    ("x/x", LoweringError, "x in a denominator: not a polynomial"),
+    ("1/(x+1)", LoweringError, "x in a denominator: not a polynomial"),
+    ("x + 2/(x^2 - 1)", LoweringError, "x in a denominator: not a polynomial"),
+]
 
 
 def explicit(text: str) -> str:
     """text with a "*" written out wherever a number, x or ")" meets an x or "("."""
     return re.sub(r"([\dx)])(?=\s*[x(])", r"\1*", text)
+
+
+def python_value(text: str, x: Fraction) -> Fraction:
+    """Python's own value of text at x: "^" as "**", every literal a Fraction."""
+    code = re.sub(r"\d+(?:\.\d+)?", r"Fraction('\g<0>')", explicit(text).replace("^", "**"))
+    return eval(code, {"Fraction": Fraction, "x": x})
 
 
 def cross_multiplied(r: RationalFunction, op: str, s: RationalFunction) -> RationalFunction:
@@ -94,6 +181,29 @@ class TestParse:
         assert lower_poly(parse("2.50")) == Polynomial([Fraction(5, 2)])
 
 
+    @given(juxtaposed)
+    @example("(x^2 - 1)/(x - 1)")
+    @example("1/(0.5 - x)^2 - 3")
+    def test_fold_matches_python_arithmetic(self, text):
+        try:
+            lowered = parse(text)
+        except (ParseError, LoweringError):
+            return
+        r = lower_ratfun(lowered)
+        for x in (Fraction(0), Fraction(1), Fraction(-3, 2), Fraction(7, 5)):
+            den = r.den(x)
+            try:
+                expected = python_value(text, x)
+            except ZeroDivisionError:
+                continue
+            if den:
+                assert r.num(x) / den == expected
+        if "x" not in text:
+            num, den, x_divisor = lowered
+            assert num == Polynomial((python_value(text, None),))
+            assert den is ONE and x_divisor is False
+
+
 class TestParseErrors:
     @pytest.mark.parametrize(
         "text,position",
@@ -118,6 +228,12 @@ class TestParseErrors:
         assert err.value.position == position
         assert 0 <= err.value.position <= len(text)
         assert str(err.value)
+
+    @pytest.mark.parametrize("text,kind,message", FAULTS)
+    def test_exact_message(self, text, kind, message):
+        with pytest.raises((ParseError, LoweringError)) as err:
+            lower_poly(parse(text))
+        assert (type(err.value), str(err.value)) == (kind, message)
 
     def test_superscript_digit_is_an_unexpected_character(self):
         with pytest.raises(ParseError, match=r"^unexpected character '²' \(at offset 1\)$"):

@@ -1,0 +1,69 @@
+"""One SHA-256 over the exit code and stdout of every non-plot request of a workload.
+
+    python3 tools/digest.py cli-small [exact-core ratfun-rules] [--seed 1]
+
+Each request of ``bench/workloads.generate(workload, seed)`` runs through
+``polytangent.cli.main`` in-process, in order; ``plot`` requests are left
+out, since they write files.  One line per workload gives the workload,
+the seed, the number of requests hashed and the digest.  Two checkouts
+that print the same digests gave the same exit code and the same stdout,
+byte for byte, on every one of those requests.
+
+The package is imported from ``src`` and the generator from ``bench``
+next to this directory, so the digests are those of this checkout.
+Nothing under ``bench`` is written.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import io
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def digest(cli, rounds) -> tuple[int, str]:
+    """(requests hashed, SHA-256 over each one's exit code and stdout)."""
+    sha, count = hashlib.sha256(), 0
+    for reqs in rounds:
+        for argv, spec in reqs:
+            if spec["command"] == "plot":
+                continue
+            out = io.StringIO()
+            with redirect_stdout(out), redirect_stderr(io.StringIO()):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:  # argparse refused the argv
+                    code = exc.code
+            body = out.getvalue().encode()
+            sha.update(f"{code} {len(body)}\n".encode())
+            sha.update(body)
+            count += 1
+    return count, sha.hexdigest()
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("workload", nargs="+")
+    ap.add_argument("--seed", type=int, default=1)
+    args = ap.parse_args(argv)
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+    from polytangent import cli
+
+    import workloads
+
+    for name in args.workload:
+        if name not in workloads.WORKLOADS:
+            ap.error(f"unknown workload {name!r}; choose from {', '.join(workloads.WORKLOADS)}")
+    for name in args.workload:
+        count, hexdigest = digest(cli, workloads.generate(name, args.seed))
+        print(f"{name} seed={args.seed} requests={count} sha256={hexdigest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
