@@ -14,7 +14,8 @@ Whitespace between tokens is ignored.  Decimal literals convert exactly
 ``(x-2)(x-3)`` is read by the grammar, not inserted by the lexer: in a
 term, an ``x`` or ``(`` right after a unary is a ``*``, so it binds like
 an explicit one (``1/2x`` is x/2).  Exponents must be literal
-non-negative integers, and the only variable is ``x``.
+non-negative integers, and the only variable is ``x``.  Parentheses and
+unary minus signs nest at most ``MAX_DEPTH`` deep.
 
 No syntax tree is built.  The grammar runs once, as a recursive descent
 that checks the syntax and writes the expression as a flat postfix list.
@@ -54,6 +55,10 @@ MAX_EXPONENT = 1024
 # lowering it takes seconds, so the degree of the lowered value is
 # bounded as well.
 MAX_DEGREE = 1024
+
+# The descent recurses into each "(" and each unary "-", and Python's
+# stack is finite, so nesting is bounded too.
+MAX_DEPTH = 100
 
 
 class LoweringError(Exception):
@@ -98,39 +103,39 @@ def tokenize(text: str) -> list[Token]:
 # constant, "x" pushes x, an int k raises the top value to the k-th power,
 # "neg" negates it, and "+", "-", "*" or "/" combines the top two.  Each
 # production takes the index of its first token and returns the index
-# after its last.
+# after its last; depth counts the "(" and unary "-" it is nested in.
 
 
-def _expr(tokens: list[Token], i: int, code: list) -> int:
-    i = _term(tokens, i, code)
+def _expr(tokens: list[Token], i: int, code: list, depth: int) -> int:
+    i = _term(tokens, i, code, depth)
     while (op := tokens[i].kind) in ("+", "-"):
-        i = _term(tokens, i + 1, code)
+        i = _term(tokens, i + 1, code, depth)
         code.append(op)
     return i
 
 
-def _term(tokens: list[Token], i: int, code: list) -> int:
+def _term(tokens: list[Token], i: int, code: list, depth: int) -> int:
     # A unary ends in a number, x or ")", so an x or "(" right after one
     # is an implicit "*": 2x, 2(x+1), (x-2)(x-3).
-    i = _unary(tokens, i, code)
+    i = _unary(tokens, i, code, depth)
     while (kind := tokens[i].kind) in ("*", "/", "x", "("):
         if kind in ("*", "/"):
             i += 1
-        i = _unary(tokens, i, code)
+        i = _unary(tokens, i, code, depth)
         code.append("/" if kind == "/" else "*")
     return i
 
 
-def _unary(tokens: list[Token], i: int, code: list) -> int:
+def _unary(tokens: list[Token], i: int, code: list, depth: int) -> int:
     if tokens[i].kind != "-":
-        return _power(tokens, i, code)
-    i = _unary(tokens, i + 1, code)
+        return _power(tokens, i, code, depth)
+    i = _unary(tokens, i + 1, code, _enter(tokens[i], depth))
     code.append("neg")
     return i
 
 
-def _power(tokens: list[Token], i: int, code: list) -> int:
-    i = _atom(tokens, i, code)
+def _power(tokens: list[Token], i: int, code: list, depth: int) -> int:
+    i = _atom(tokens, i, code, depth)
     if tokens[i].kind != "^":
         return i
     tok = tokens[i + 1]
@@ -142,14 +147,14 @@ def _power(tokens: list[Token], i: int, code: list) -> int:
     return i + 2
 
 
-def _atom(tokens: list[Token], i: int, code: list) -> int:
+def _atom(tokens: list[Token], i: int, code: list, depth: int) -> int:
     tok = tokens[i]
     if tok.kind == "num":
         code.append(tok.value)
     elif tok.kind == "x":
         code.append("x")
     elif tok.kind == "(":
-        i = _expr(tokens, i + 1, code)
+        i = _expr(tokens, i + 1, code, _enter(tok, depth))
         if tokens[i].kind != ")":
             raise ParseError(tokens[i].pos, "expected ')'")
     elif tok.kind == "end":
@@ -157,6 +162,13 @@ def _atom(tokens: list[Token], i: int, code: list) -> int:
     else:
         raise ParseError(tok.pos, f"unexpected {_describe(tok)}")
     return i + 1
+
+
+def _enter(tok: Token, depth: int) -> int:
+    """The depth inside tok, a "(" or unary "-"; past MAX_DEPTH, a ParseError at tok."""
+    if depth == MAX_DEPTH:
+        raise ParseError(tok.pos, f"nesting exceeds the limit of {MAX_DEPTH}")
+    return depth + 1
 
 
 def _describe(tok: Token) -> str:
@@ -276,7 +288,7 @@ def parse(text: str) -> Lowered:
     """
     tokens = tokenize(text)
     code: list = []
-    trailing = tokens[_expr(tokens, 0, code)]
+    trailing = tokens[_expr(tokens, 0, code, 0)]
     if trailing.kind != "end":
         raise ParseError(trailing.pos, f"unexpected {_describe(trailing)}")
     if _degree_peak(code) > MAX_DEGREE:

@@ -10,7 +10,9 @@ constructor; ring operations trust the ``Fraction``s they compute.
 Arithmetic is exact schoolbook arithmetic that skips structural zeros:
 a product with a monomial ``c*x^j`` is a shift and a scale, so a
 dual-Horner derivative step is two shifts and an add; ``(c*x^j)^e`` is
-``c^e*x^(j*e)``; and a sum adds no zero coefficient.  A
+``c^e*x^(j*e)``; a two-term power ``(a*x^i + b*x^j)^e`` is written out by
+the binomial theorem in O(e) steps, where square-and-multiply would make
+schoolbook products; and a sum adds no zero coefficient.  A
 :class:`RationalFunction` is a canonical value only: the arithmetic of
 rational expressions happens on numerator and denominator polynomials
 while ``parser.parse`` reads the text, and ``parser.lower_ratfun``
@@ -19,9 +21,11 @@ reduces the result once.
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
 from collections.abc import Iterable
 from fractions import Fraction
+from itertools import accumulate, repeat
 
 from .rational import exact
 
@@ -146,9 +150,13 @@ class Polynomial:
     def __pow__(self, exponent: int) -> "Polynomial":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial exponents must be non-negative integers")
-        if _is_monomial(self.coeffs):  # (c*x^j)^e = c^e*x^(j*e)
-            zeros = [Fraction(0)] * ((len(self.coeffs) - 1) * exponent)
-            return Polynomial._trusted(zeros + [self.coeffs[-1] ** exponent])
+        cs = self.coeffs
+        terms = [k for k, c in enumerate(cs) if c]
+        if len(terms) == 1:  # (c*x^j)^e = c^e*x^(j*e)
+            return Polynomial._trusted([Fraction(0)] * (terms[0] * exponent) + [cs[-1] ** exponent])
+        if len(terms) == 2:
+            i, j = terms
+            return _binomial_power(cs[i], i, cs[j], j, exponent)
         result = Polynomial((1,))
         base = self
         n = exponent
@@ -238,6 +246,28 @@ class Polynomial:
 def _is_monomial(cs: tuple[Fraction, ...]) -> bool:
     """c*x^j: a nonempty coefficient sequence that is zero but for its last entry."""
     return bool(cs) and not any(cs[:-1])
+
+
+def _binomial_power(a: Fraction, i: int, b: Fraction, j: int, e: int) -> Polynomial:
+    """(a*x^i + b*x^j)^e for i < j, by the binomial theorem in one O(e) pass.
+
+    The coefficient of x^(i*(e-k) + j*k) is C(e,k) * a^(e-k) * b^k, built
+    from integer powers of the numerators and denominators of a and b,
+    with one Fraction (one gcd) per coefficient.
+    """
+    an, ad = _powers(a.numerator, e), _powers(a.denominator, e)
+    bn, bd = _powers(b.numerator, e), _powers(b.denominator, e)
+    out = [Fraction(0)] * (j * e + 1)
+    c = 1  # C(e, k)
+    for k in range(e + 1):
+        out[i * e + (j - i) * k] = Fraction(c * an[e - k] * bn[k], ad[e - k] * bd[k])
+        c = c * (e - k) // (k + 1)
+    return Polynomial._trusted(out)
+
+
+def _powers(n: int, e: int) -> list[int]:
+    """[n^0, n^1, ..., n^e]."""
+    return list(accumulate(repeat(n, e), operator.mul, initial=1))
 
 
 def _coerce(value) -> Polynomial | None:

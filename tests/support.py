@@ -65,6 +65,14 @@ sparse_polys = st.one_of(
     st.builds(Polynomial, st.lists(_coeffs, max_size=9)),
 )
 
+# a*x^i + b*x^j with 0 <= i < j <= 5 and a, b nonzero: the binomial-theorem power.
+two_term_polys = st.builds(
+    lambda ij, a, b: from_terms(dict(zip(ij, (a, b)))),
+    st.sets(st.integers(0, 5), min_size=2, max_size=2),
+    _coeffs.filter(bool),
+    _coeffs.filter(bool),
+)
+
 
 def _trimmed(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
     while coeffs and not coeffs[-1]:

@@ -14,7 +14,7 @@ import pytest
 import polytangent
 from polytangent import cli, tangency
 from polytangent.decomposition import MAX_STEPS
-from polytangent.parser import MAX_DEGREE, MAX_EXPONENT
+from polytangent.parser import MAX_DEGREE, MAX_DEPTH, MAX_EXPONENT
 from polytangent.polynomial import X
 from polytangent.tangency import CertificateError, tangent_at
 
@@ -578,6 +578,20 @@ class TestSubprocess:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["result"]["derivative"] == "3*x^2"
+
+    @pytest.mark.parametrize("expr", ["(" * 10_000 + "x" + ")" * 10_000, "x+" + "-" * 10_000 + "x"])
+    def test_deep_nesting_is_an_input_error(self, tmp_path, expr):
+        proc = subprocess.run(
+            [sys.executable, "-m", "polytangent", "--json", "derive", "--", expr],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env=_child_env(),
+        )
+        assert proc.returncode == 2, proc.stderr
+        env = json.loads(proc.stdout)
+        assert env["status"] == "error"
+        assert env["error"].startswith(f"nesting exceeds the limit of {MAX_DEPTH} ")
 
     def test_import_loads_no_heavy_stdlib_modules(self):
         # Every CLI invocation pays for what the package imports, and dataclasses

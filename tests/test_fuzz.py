@@ -4,7 +4,8 @@ Every argv built from the command table, with well-formed or junk
 values, must exit 0 or 2 (argparse refusals included) within a
 wall-time budget, and ``--json`` must print an envelope with its five
 keys.  Expressions mix sums, quotients (zero divisors included), small
-powers and nested parentheses; their degree bounds stay at most 8 and
+powers, and parentheses or unary signs nested into the hundreds, past
+the nesting bound; their degree bounds stay at most 8 and
 junk text short, so that no expression can ask for a large exact
 result.  Scalars include ``1e±n`` with n up to 10**7, which the CLI must
 refuse beyond its exponent bound.  The budget catches a case that hangs.
@@ -41,7 +42,7 @@ def polynomial(draw, degree):
 
 @st.composite
 def expression(draw, degree=8):
-    """A sum of terms, or a quotient, a small power of a sum or a nested one.
+    """A sum of terms, or a quotient, a small power of a sum or a deeply nested one.
 
     A divisor is a sum, which may have x in it, or a zero such as x - x.
     Each form splits ``degree`` among its parts, so the parser's static
@@ -50,8 +51,9 @@ def expression(draw, degree=8):
     form = draw(st.sampled_from(["sum", "quotient", "power", "nested"])) if degree > 1 else "sum"
     if form == "sum":
         return draw(polynomial(degree))
-    if form == "nested":
-        return f"(({draw(expression(degree))}))"
+    if form == "nested":  # parentheses or unary signs, at depths into the hundreds
+        n, inner = draw(st.integers(1, 300)), draw(expression(degree))
+        return draw(st.sampled_from([f"{'(' * n}{inner}{')' * n}", f"{'-' * n}({inner})"]))
     if form == "power":
         k = draw(st.integers(0, 3))
         return f"({draw(polynomial(degree // max(k, 1)))})^{k}"

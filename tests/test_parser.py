@@ -2,12 +2,15 @@
 
 import re
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from polytangent.parser import MAX_DEGREE, LoweringError, ParseError, lower_poly, lower_ratfun, parse
+from polytangent.parser import (
+    MAX_DEGREE, MAX_DEPTH, LoweringError, ParseError, lower_poly, lower_ratfun, parse,
+)
 from polytangent.polynomial import ONE, X, Polynomial, RationalFunction
 
 coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=9)
@@ -345,10 +348,39 @@ class TestDegreeBound:
         assert lower_poly(parse("x^1024")).coeffs == (0,) * 1024 + (1,)
         assert calls == ["__pow__"]
 
+    def test_binomial_power_makes_no_product(self, calls):
+        assert lower_poly(parse("(x+1)^1024")).coefficient(512) == comb(1024, 512)
+        assert calls == ["__pow__"]
+
     def test_sum_of_fractions_adds_denominator_degrees(self):
         assert lower_poly(parse("x^1000 + x^1024")).degree == 1024
         with pytest.raises(LoweringError, match=str(MAX_DEGREE)):
             lower_ratfun(parse("1/x^600 + 1/(x+1)^600"))
+
+
+class TestNestingBound:
+    def test_at_the_bound_lowers(self):
+        assert lower_poly(parse("(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH)) == X
+        assert lower_poly(parse("x+" + "-" * MAX_DEPTH + "x")) == 2 * X
+
+    @pytest.mark.parametrize(
+        "text,position",
+        [
+            ("(" * (MAX_DEPTH + 1) + "x" + ")" * (MAX_DEPTH + 1), MAX_DEPTH),
+            ("(" * 10_000 + "x" + ")" * 10_000, MAX_DEPTH),
+            ("-" * 10_000 + "x", MAX_DEPTH),
+            ("x+" + "-" * 3_000, 2 + MAX_DEPTH),
+            ("-(" * 5_000 + "x" + ")" * 5_000, MAX_DEPTH),
+        ],
+    )
+    def test_over_the_bound_is_a_positioned_syntax_error(self, text, position):
+        with pytest.raises(ParseError, match=f"^nesting exceeds the limit of {MAX_DEPTH} ") as err:
+            parse(text)
+        assert err.value.position == position
+
+    def test_an_earlier_syntax_error_comes_first(self):
+        with pytest.raises(ParseError, match="unexpected token"):
+            parse("x ** " + "(" * 10_000 + "x")
 
 
 class TestFaultOrder:

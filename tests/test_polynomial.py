@@ -17,7 +17,7 @@ from polytangent.polynomial import (
     polynomial_gcd,
 )
 from polytangent.tangency import taylor_shift
-from support import coefficient_sum, convolve, cross_multiplied_equal, sparse_polys
+from support import coefficient_sum, convolve, cross_multiplied_equal, sparse_polys, two_term_polys
 
 coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 polys = st.builds(Polynomial, st.lists(coeffs, max_size=9))
@@ -73,10 +73,11 @@ def assert_well_formed(p: Polynomial) -> None:
 class TestResultsAreWellFormed:
     """Ring results skip coefficient validation, so check what they hold."""
 
-    @given(sparse_polys, sparse_polys, coeffs, st.integers(-9, 9), points, st.integers(0, 4))
-    def test_every_operation(self, f, g, c, n, p, e):
+    @given(sparse_polys, sparse_polys, two_term_polys, coeffs, st.integers(-9, 9), points,
+           st.integers(0, 4))
+    def test_every_operation(self, f, g, t, c, n, p, e):
         results = [f + g, f + n, n + f, f - g, f - n, n - f, -f,
-                   f * g, f * n, n * f, f * c, c * f, f * 0, f**e, taylor_shift(f, p)]
+                   f * g, f * n, n * f, f * c, c * f, f * 0, f**e, t**e, taylor_shift(f, p)]
         if g:
             results += divmod(f, g)
         if f:
@@ -100,8 +101,10 @@ class TestAgainstPlainArithmetic:
         assert (f * c).coeffs == expected
         assert (c * f).coeffs == expected
 
-    @given(sparse_polys, st.integers(0, 6))
-    def test_power(self, f, e):
+    @given(st.one_of(st.tuples(sparse_polys, st.integers(0, 6)),
+                     st.tuples(two_term_polys, st.integers(0, 40))))
+    def test_power(self, base_and_exponent):
+        f, e = base_and_exponent
         assert (f**e).coeffs == reduce(convolve, [f.coeffs] * e, (Fraction(1),))
 
     @given(sparse_polys, sparse_polys)
