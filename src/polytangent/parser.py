@@ -1,4 +1,4 @@
-"""Recursive-descent parser for polynomial and rational-function expressions.
+"""Operator-precedence parser for polynomial and rational-function expressions.
 
 Grammar (loosest to tightest binding):
 
@@ -17,15 +17,15 @@ an explicit one (``1/2x`` is x/2).  Exponents must be literal
 non-negative integers, and the only variable is ``x``.  Parentheses and
 unary minus signs nest at most ``MAX_DEPTH`` deep.
 
-No syntax tree is built.  The grammar runs once, as a recursive descent
-that checks the syntax and writes the expression as a flat postfix list.
-Two loops over that list follow: the first bounds every degree without
-arithmetic, the second folds the value into an unreduced numerator and
-denominator.  In the fold, a part without x stays a plain ``Fraction``
-and becomes a ``Polynomial`` only where it meets x.  A fraction such as
-``1/2`` is an ordinary division, and a constant divisor folds into the
-coefficients, so ``1/2*x`` means (1/2)*x by left associativity, matching
-the canonical rendering.
+No syntax tree is built, and nothing recurses.  One loop with an
+operator stack (Dijkstra's shunting yard) checks the syntax and writes
+the expression as a flat postfix list.  Two loops over that list follow:
+the first bounds every degree without arithmetic, the second folds the
+value into an unreduced numerator and denominator.  In the fold, a part
+without x stays a plain ``Fraction`` and becomes a ``Polynomial`` only
+where it meets x.  A fraction such as ``1/2`` is an ordinary division,
+and a constant divisor folds into the coefficients, so ``1/2*x`` means
+(1/2)*x by left associativity, matching the canonical rendering.
 """
 
 from __future__ import annotations
@@ -56,8 +56,9 @@ MAX_EXPONENT = 1024
 # bounded as well.
 MAX_DEGREE = 1024
 
-# The descent recurses into each "(" and each unary "-", and Python's
-# stack is finite, so nesting is bounded too.
+# No polynomial needs deeper nesting than this, so it bounds untrusted
+# input like the two above: the first "(" or unary "-" nested deeper is
+# a ParseError at its offset.
 MAX_DEPTH = 100
 
 
@@ -97,82 +98,78 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
-# -- one descent, two flat loops ----------------------------------------------
-#
-# The descent writes the expression as postfix code: a Fraction pushes a
-# constant, "x" pushes x, an int k raises the top value to the k-th power,
-# "neg" negates it, and "+", "-", "*" or "/" combines the top two.  Each
-# production takes the index of its first token and returns the index
-# after its last; depth counts the "(" and unary "-" it is nested in.
+# -- one loop writes postfix code, two loops run it ---------------------------
+
+# How tightly an entry on the operator stack binds; no operator pops a "(".
+_BINDS = {"(": 0, "+": 1, "-": 1, "*": 2, "/": 2, "neg": 3}
 
 
-def _expr(tokens: list[Token], i: int, code: list, depth: int) -> int:
-    i = _term(tokens, i, code, depth)
-    while (op := tokens[i].kind) in ("+", "-"):
-        i = _term(tokens, i + 1, code, depth)
-        code.append(op)
-    return i
+def _postfix(tokens: list[Token]) -> list:
+    """Check the syntax and write the expression as postfix code.
 
-
-def _term(tokens: list[Token], i: int, code: list, depth: int) -> int:
-    # A unary ends in a number, x or ")", so an x or "(" right after one
-    # is an implicit "*": 2x, 2(x+1), (x-2)(x-3).
-    i = _unary(tokens, i, code, depth)
-    while (kind := tokens[i].kind) in ("*", "/", "x", "("):
-        if kind in ("*", "/"):
+    In the code, a Fraction pushes a constant, "x" pushes x, an int k
+    raises the top value to the k-th power, "neg" negates it, and "+",
+    "-", "*" or "/" combines the top two.  While an operand is due, "-"
+    and "(" go on the operator stack as "neg" and "(", and a number or x
+    is written.  Once it is complete, an operator pops the entries that
+    bind at least as tightly, and a ")" or the end pops down to the
+    nearest "(".  depth counts the "(" and "neg" entries.
+    """
+    code: list = []
+    stack: list[str] = []
+    depth = i = 0
+    while True:
+        kind, value, pos = tokens[i]
+        i += 1
+        if kind == "-" or kind == "(":
+            if depth == MAX_DEPTH:
+                raise ParseError(pos, f"nesting exceeds the limit of {MAX_DEPTH}")
+            depth += 1
+            stack.append("neg" if kind == "-" else "(")
+            continue
+        if kind != "num" and kind != "x":
+            raise ParseError(pos, f"unexpected {_describe(kind)}")
+        code.append(value if kind == "num" else "x")
+        while True:  # an operand is complete, and each ")" completes one more
+            kind, value, pos = tokens[i]
+            if kind == "^":
+                kind, value, pos = tokens[i + 1]
+                if kind != "num" or value.denominator != 1:
+                    raise ParseError(pos, "exponent must be a non-negative integer literal")
+                if value > MAX_EXPONENT:
+                    raise ParseError(pos, f"exponent exceeds the limit of {MAX_EXPONENT}")
+                code.append(int(value))
+                i += 2
+                kind, value, pos = tokens[i]
+            # An operand ends in a number, x or ")", so an x or "(" right
+            # after one is an implicit "*": 2x, 2(x+1), (x-2)(x-3).
+            op = "*" if kind == "x" or kind == "(" else kind
+            binds = _BINDS.get(op, 1)  # any other token pops down to the nearest "("
+            while stack and _BINDS[stack[-1]] >= binds:
+                top = stack.pop()
+                if top == "neg":
+                    depth -= 1
+                code.append(top)
+            if op in _BINDS:  # a binary operator: op is never "(" or "neg" here
+                stack.append(op)
+                if op == kind:  # not an implicit "*"
+                    i += 1
+                break
+            if not stack:
+                if kind != "end":
+                    raise ParseError(pos, f"unexpected {_describe(kind)}")
+                return code
+            if kind != ")":
+                raise ParseError(pos, "expected ')'")
+            stack.pop()
+            depth -= 1
             i += 1
-        i = _unary(tokens, i, code, depth)
-        code.append("/" if kind == "/" else "*")
-    return i
 
 
-def _unary(tokens: list[Token], i: int, code: list, depth: int) -> int:
-    if tokens[i].kind != "-":
-        return _power(tokens, i, code, depth)
-    i = _unary(tokens, i + 1, code, _enter(tokens[i], depth))
-    code.append("neg")
-    return i
-
-
-def _power(tokens: list[Token], i: int, code: list, depth: int) -> int:
-    i = _atom(tokens, i, code, depth)
-    if tokens[i].kind != "^":
-        return i
-    tok = tokens[i + 1]
-    if tok.kind != "num" or tok.value.denominator != 1:
-        raise ParseError(tok.pos, "exponent must be a non-negative integer literal")
-    if tok.value > MAX_EXPONENT:
-        raise ParseError(tok.pos, f"exponent exceeds the limit of {MAX_EXPONENT}")
-    code.append(int(tok.value))
-    return i + 2
-
-
-def _atom(tokens: list[Token], i: int, code: list, depth: int) -> int:
-    tok = tokens[i]
-    if tok.kind == "num":
-        code.append(tok.value)
-    elif tok.kind == "x":
-        code.append("x")
-    elif tok.kind == "(":
-        i = _expr(tokens, i + 1, code, _enter(tok, depth))
-        if tokens[i].kind != ")":
-            raise ParseError(tokens[i].pos, "expected ')'")
-    elif tok.kind == "end":
-        raise ParseError(tok.pos, "unexpected end of input")
-    else:
-        raise ParseError(tok.pos, f"unexpected {_describe(tok)}")
-    return i + 1
-
-
-def _enter(tok: Token, depth: int) -> int:
-    """The depth inside tok, a "(" or unary "-"; past MAX_DEPTH, a ParseError at tok."""
-    if depth == MAX_DEPTH:
-        raise ParseError(tok.pos, f"nesting exceeds the limit of {MAX_DEPTH}")
-    return depth + 1
-
-
-def _describe(tok: Token) -> str:
-    return "number" if tok.kind == "num" else f"token {tok.kind!r}"
+def _describe(kind: str) -> str:
+    if kind == "end":
+        return "end of input"
+    return "number" if kind == "num" else f"token {kind!r}"
 
 
 def _degree_peak(code: list) -> int:
@@ -286,11 +283,7 @@ def parse(text: str) -> Lowered:
     exceed MAX_DEGREE, judged before any arithmetic, then one for the first
     division by zero.
     """
-    tokens = tokenize(text)
-    code: list = []
-    trailing = tokens[_expr(tokens, 0, code, 0)]
-    if trailing.kind != "end":
-        raise ParseError(trailing.pos, f"unexpected {_describe(trailing)}")
+    code = _postfix(tokenize(text))
     if _degree_peak(code) > MAX_DEGREE:
         raise LoweringError(f"degree of the result exceeds the limit of {MAX_DEGREE}")
     return _fold(code)

@@ -1,6 +1,7 @@
 """Expression parsing, lowering, and the render round trip."""
 
 import re
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -377,6 +378,27 @@ class TestNestingBound:
         with pytest.raises(ParseError, match=f"^nesting exceeds the limit of {MAX_DEPTH} ") as err:
             parse(text)
         assert err.value.position == position
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH,
+            "-" * MAX_DEPTH + "x",
+            "-(" * (MAX_DEPTH // 2) + "x" + ")" * (MAX_DEPTH // 2),
+        ],
+    )
+    def test_parsing_does_not_recurse(self, text):
+        # 50 frames are enough for parse's own calls, too few for a frame per "(" or "-"
+        depth, frame = 0, sys._getframe()
+        while frame:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 50)
+        try:
+            value = lower_poly(parse(text))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert value == X
 
     def test_an_earlier_syntax_error_comes_first(self):
         with pytest.raises(ParseError, match="unexpected token"):
