@@ -26,7 +26,7 @@ from .parser import (
 from .plotting import render_figure
 from .polynomial import LinearFunction, Polynomial, X
 from .rational import to_decimal
-from .rules import RULES, VERIFIERS
+from .rules import VERIFIERS
 from .tangency import (
     INFINITE,
     CertificateError,
@@ -50,7 +50,7 @@ def _poly(text: str) -> Polynomial:
 
 
 def _scalar(text: str) -> Fraction:
-    """Fraction(text), refusing a decimal exponent beyond MAX_EXPONENT.
+    """Fraction(text), refusing a decimal exponent beyond MAX_EXPONENT and a zero denominator.
 
     Fraction computes the power of ten in full: "1e9999999" takes seconds.
     An exponent of ten digits or more is refused without converting it.
@@ -59,7 +59,10 @@ def _scalar(text: str) -> Fraction:
     digits = exponent.rstrip().lstrip("+-").replace("_", "").lstrip("0")
     if e and digits.isdecimal() and (len(digits) > 9 or int(digits) > MAX_EXPONENT):
         raise OverflowError(f"decimal exponent exceeds the limit of {MAX_EXPONENT}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:  # its own text is "Fraction(1, 0)"
+        raise ZeroDivisionError(f"division by zero in {text!r}") from None
 
 
 def _finite_or_marker(value):
@@ -204,9 +207,9 @@ def _cmd_rules(args):
         raise LoweringError(f"f(g) has degree {composed}, over the limit of {MAX_DEGREE}")
     reports = []
     lines = [f"differentiation rules for f = {f}, g = {g}"]
-    for name in RULES:
+    for name, verify in VERIFIERS.items():
         try:
-            rep = VERIFIERS[name](f, g)
+            rep = verify(f, g)
         except ZeroDivisionError as exc:
             reports.append(
                 {"rule": name, "lhs": None, "rhs": None, "holds": None, "error": str(exc)}

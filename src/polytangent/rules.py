@@ -14,9 +14,6 @@ from collections import namedtuple
 from .polynomial import Polynomial, RationalFunction
 from .tangency import derivative, ratfun_derivative
 
-RULES = ("sum", "product", "quotient", "chain")
-
-
 class RuleReport(namedtuple("RuleReport", "rule lhs rhs")):
     """Both sides of one rule identity; `holds` is equality of canonical forms."""
 

@@ -298,6 +298,14 @@ class TestExitCodes:
     def test_bad_rational(self, capsys):
         assert run_cli(capsys, "tangent", "x^2", "3//4")[0] == 2
 
+    def test_zero_denominator_in_a_scalar(self, capsys, tmp_path):
+        assert run_cli(capsys, "tangent", "x", "1/0") == (2, "error: division by zero in '1/0'\n")
+        svg = tmp_path / "x.svg"
+        argv = ("plot", "x", "0", "--range", "0,1/0", "--out", str(svg))
+        code, out = run_cli(capsys, "--json", *argv)
+        assert (code, json.loads(out)["error"]) == (2, "division by zero in '1/0'")
+        assert not svg.exists()
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -7,7 +7,6 @@ import pytest
 
 from polytangent.polynomial import ONE, X, ZERO, Polynomial, RationalFunction
 from polytangent.rules import (
-    RULES,
     VERIFIERS,
     verify_chain,
     verify_product,
@@ -103,7 +102,7 @@ class TestRandomCorpus:
             assert verify_quotient(f, rand_nonzero_polynomial(rng, max_degree=6)).holds
 
     def test_registry_is_complete(self):
-        assert set(VERIFIERS) == set(RULES) == {"sum", "product", "quotient", "chain"}
+        assert list(VERIFIERS) == ["sum", "product", "quotient", "chain"]
 
 
 class TestCertificateLevelSum:
