@@ -205,11 +205,12 @@ def _cmd_rules(args):
     composed = (f.degree or 0) * (g.degree or 0)  # the chain rule builds f(g)
     if composed > MAX_DEGREE:
         raise LoweringError(f"f(g) has degree {composed}, over the limit of {MAX_DEGREE}")
+    df, dg = derivative(f), derivative(g)  # shared by every right-hand side
     reports = []
     lines = [f"differentiation rules for f = {f}, g = {g}"]
     for name, verify in VERIFIERS.items():
         try:
-            rep = verify(f, g)
+            rep = verify(f, g, df, dg)
         except ZeroDivisionError as exc:
             reports.append(
                 {"rule": name, "lhs": None, "rhs": None, "holds": None, "error": str(exc)}

@@ -219,21 +219,26 @@ class Polynomial:
         """Canonical text: descending powers, explicit signs, `^` exponents."""
         if not self.coeffs:
             return "0"
+        # The sign comes from the numerator and the magnitude is str(c) less
+        # its "-", so rendering does no Fraction arithmetic or comparison.
         parts: list[str] = []
         for power in range(len(self.coeffs) - 1, -1, -1):
             c = self.coeffs[power]
             if not c:
                 continue
-            size = abs(c)
+            size = str(c)
+            negative = c.numerator < 0
+            if negative:
+                size = size[1:]
             if power == 0:
-                body = str(size)
+                body = size
             else:
                 sym = var if power == 1 else f"{var}^{power}"
-                body = sym if size == 1 else f"{size}*{sym}"
+                body = sym if size == "1" else f"{size}*{sym}"
             if not parts:
-                parts.append(body if c > 0 else f"-{body}")
+                parts.append(f"-{body}" if negative else body)
             else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+                parts.append(f"- {body}" if negative else f"+ {body}")
         return " ".join(parts)
 
     def __str__(self) -> str:
@@ -286,16 +291,62 @@ X = Polynomial((0, 1))
 def polynomial_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     """Monic greatest common divisor by the Euclidean algorithm.
 
-    gcd(f, 0) is monic(f); gcd(0, 0) is undefined and raises.
+    gcd(f, 0) is monic(f); gcd(0, 0) is undefined and raises.  When f
+    and g both have degree >= 1, a Euclid mod the prime P = 2^61 - 1
+    runs first, and a constant gcd there proves gcd(f, g) = 1 (Brown,
+    JACM 1971): if no coefficient denominator and neither leading
+    coefficient vanishes mod P, a common factor over Q keeps its degree
+    mod P.  Any other outcome runs the exact Euclid over Fractions.
     """
     if not f and not g:
         raise ValueError("gcd(0, 0) is undefined")
+    if f.degree and g.degree and _coprime_mod_p(f.coeffs, g.coeffs):
+        return ONE
     a, b = f, g
     while b:
         a, b = b, a % b
         if b:
             b = b.monic()  # rescaling each step keeps coefficient growth tame
     return a.monic()
+
+
+_P = 2**61 - 1  # a Mersenne prime: residues are word-sized Python ints
+
+
+def _mod_p(cs: tuple[Fraction, ...]) -> list[int] | None:
+    """The coefficients mod _P; None if a denominator or the last coefficient is 0 mod _P."""
+    out = []
+    for c in cs:
+        d = c.denominator % _P
+        if not d:
+            return None
+        n = c.numerator % _P
+        out.append(n if d == 1 else n * pow(d, -1, _P) % _P)
+    return out if out[-1] else None
+
+
+def _coprime_mod_p(f: tuple[Fraction, ...], g: tuple[Fraction, ...]) -> bool:
+    """True when f and g (degree >= 1) reduce mod _P, keep their degrees, and are coprime there.
+
+    False means only that this test proves nothing.
+    """
+    a, b = _mod_p(f), _mod_p(g)
+    if a is None or b is None:
+        return False
+    while len(b) > 1:  # b has degree >= 1: replace (a, b) by (b, a mod b)
+        inv, nb = pow(b[-1], -1, _P), len(b)
+        for i in range(len(a) - nb, -1, -1):
+            q = a[i + nb - 1] * inv % _P
+            if q:
+                for j in range(nb - 1):
+                    a[i + j] = (a[i + j] - q * b[j]) % _P
+        del a[nb - 1:]
+        while a and not a[-1]:
+            a.pop()
+        if not a:
+            return False  # b divides a: the gcd mod P has degree >= 1
+        a, b = b, a
+    return True  # b is a nonzero constant
 
 
 class LinearFunction(namedtuple("LinearFunction", "slope intercept")):

@@ -89,6 +89,23 @@ def convolve(a, b) -> tuple[Fraction, ...]:
     return _trimmed(out)
 
 
+def reference_gcd(a, b) -> tuple[Fraction, ...]:
+    """Independent gcd oracle: a monic Euclid on plain Fraction coefficient sequences.
+
+    No modular step and no rescaling between steps; a and b are not both zero.
+    """
+    a, b = _trimmed([Fraction(c) for c in a]), _trimmed([Fraction(c) for c in b])
+    while b:
+        r = list(a)
+        while len(r) >= len(b):
+            q, shift = r[-1] / b[-1], len(r) - len(b)
+            for j, d in enumerate(b):
+                r[shift + j] -= q * d
+            r = list(_trimmed(r))
+        a, b = b, tuple(r)
+    return tuple(c / a[-1] for c in a)
+
+
 def coefficient_sum(a, b, sign=1) -> tuple[Fraction, ...]:
     """Independent sum oracle: the coefficients of a + sign*b from two coefficient sequences."""
     n = max(len(a), len(b))

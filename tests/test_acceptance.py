@@ -96,10 +96,14 @@ def test_c06_rule_identities():
     for _ in range(500):
         f = rand_polynomial(rng, max_degree=8)
         g = rand_polynomial(rng, max_degree=8)
-        assert verify_sum(f, g).holds
-        assert verify_product(f, g).holds
-        assert verify_chain(f, g).holds
-        assert verify_quotient(f, g if g else rand_nonzero_polynomial(rng)).holds
+        df, dg = derivative(f), derivative(g)
+        assert verify_sum(f, g, df, dg).holds
+        assert verify_product(f, g, df, dg).holds
+        assert verify_chain(f, g, df, dg).holds
+        if not g:
+            g = rand_nonzero_polynomial(rng)
+            dg = derivative(g)
+        assert verify_quotient(f, g, df, dg).holds
     ok("criterion 6: sum, product, quotient, chain hold exactly on 500 random pairs")
 
 

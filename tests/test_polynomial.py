@@ -17,10 +17,24 @@ from polytangent.polynomial import (
     polynomial_gcd,
 )
 from polytangent.tangency import taylor_shift
-from support import coefficient_sum, convolve, cross_multiplied_equal, sparse_polys, two_term_polys
+from support import (
+    coefficient_sum,
+    convolve,
+    cross_multiplied_equal,
+    reference_gcd,
+    sparse_polys,
+    two_term_polys,
+)
 
 coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 polys = st.builds(Polynomial, st.lists(coeffs, max_size=9))
+# Coefficients of 30 to 40 digits, over denominators of up to 32 digits.
+big_coeffs = st.builds(Fraction, st.integers(10**29, 10**40) | st.integers(-(10**40), -(10**29)),
+                       st.integers(1, 10**32))
+mixed_polys = st.builds(Polynomial, st.lists(coeffs | big_coeffs, max_size=7))
+factors = st.lists(coeffs | big_coeffs, min_size=2, max_size=5).filter(lambda cs: cs[-1]).map(
+    Polynomial)  # degree >= 1
+P = 2**61 - 1  # the prime of polynomial_gcd's coprimality certificate
 points = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 scalars = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-99, 99), coeffs)
 
@@ -251,6 +265,40 @@ class TestGcd:
         d = polynomial_gcd(f, g)
         assert f % d == ZERO
         assert g % d == ZERO
+
+    @given(mixed_polys, mixed_polys)
+    def test_matches_reference(self, f, g):
+        if f or g:
+            assert polynomial_gcd(f, g).coeffs == reference_gcd(f.coeffs, g.coeffs)
+
+    @given(mixed_polys, mixed_polys, factors)
+    def test_common_factor_is_found(self, f, g, c):
+        # f*c and g*c share c, so their gcd is a multiple of c.monic().
+        fc, gc = Polynomial(convolve(f.coeffs, c.coeffs)), Polynomial(convolve(g.coeffs, c.coeffs))
+        if not fc and not gc:
+            return
+        d = polynomial_gcd(fc, gc)
+        assert d.coeffs == reference_gcd(fc.coeffs, gc.coeffs)
+        assert d % c.monic() == ZERO
+
+    @pytest.mark.parametrize(
+        "c",
+        [
+            P * X + 1,  # leading numerator P: c is the constant 1 mod P
+            3 * P * X**2 + X - 5,  # leading numerator 3P: c drops to degree 1 mod P
+            X + Fraction(1, P),  # a denominator P: c does not reduce mod P
+            X**2 + Fraction(7, 2 * P) * X + 1,  # a denominator 2P
+        ],
+        ids=["lead-P", "lead-3P", "den-P", "den-2P"],
+    )
+    @pytest.mark.parametrize("f,g", [(X, X + 1), (X**2 + 1, X - 3), (ONE, X**3 - X)])
+    def test_unlucky_prime_falls_back(self, c, f, g):
+        # f and g are coprime, so mod P the common factor c is all that could
+        # show; where it vanishes or cannot be reduced, the exact Euclid runs.
+        fc, gc = f * c, g * c
+        d = polynomial_gcd(fc, gc)
+        assert d == c.monic()
+        assert d.coeffs == reference_gcd(fc.coeffs, gc.coeffs)
 
 
 class TestPower:
