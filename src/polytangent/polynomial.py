@@ -9,23 +9,22 @@ constructor; ring operations trust the ``Fraction``s they compute.
 
 Arithmetic is exact schoolbook arithmetic that skips structural zeros:
 a product with a monomial ``c*x^j`` is a shift and a scale, so a
-dual-Horner derivative step is two shifts and an add; ``(c*x^j)^e`` is
-``c^e*x^(j*e)``; a two-term power ``(a*x^i + b*x^j)^e`` is written out by
-the binomial theorem in O(e) steps, where square-and-multiply would make
-schoolbook products; and a sum adds no zero coefficient.  A
-:class:`RationalFunction` is a canonical value only: the arithmetic of
-rational expressions happens on numerator and denominator polynomials
-while ``parser.parse`` reads the text, and ``parser.lower_ratfun``
-reduces the result once.
+dual-Horner derivative step is two shifts and an add, and a sum adds no
+zero coefficient.  A power makes no product: Miller's recurrence runs on
+the integer numerators over one common denominator and skips the zero
+coefficients of the base, so ``(c*x^j)^e`` takes no step and a two-term
+base O(e) steps.  A :class:`RationalFunction` is a canonical value only:
+the arithmetic of rational expressions happens on numerator and
+denominator polynomials while ``parser.parse`` reads the text, and
+``parser.lower_ratfun`` reduces the result once.
 """
 
 from __future__ import annotations
 
-import operator
 from collections import namedtuple
 from collections.abc import Iterable
 from fractions import Fraction
-from itertools import accumulate, repeat
+from math import lcm
 
 from .rational import exact
 
@@ -148,25 +147,37 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Polynomial":
+        """self**e by J. C. P. Miller's recurrence on the integer content (TAOCP 4.7).
+
+        With self = x^v * P(x) / d, d the lcm of the denominators and P an
+        integer polynomial with p0 != 0, Q = P^e has q0 = p0^e and
+        k*p0*q_k = sum over j >= 1 of ((e + 1)*j - k)*p_j*q_(k-j), an exact
+        division because P*Q' = e*P'*Q.  A zero p_j costs nothing, so a
+        monomial takes no step and a two-term base O(e) steps.
+        """
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial exponents must be non-negative integers")
         cs = self.coeffs
-        terms = [k for k, c in enumerate(cs) if c]
-        if len(terms) == 1:  # (c*x^j)^e = c^e*x^(j*e)
-            return Polynomial._trusted([Fraction(0)] * (terms[0] * exponent) + [cs[-1] ** exponent])
-        if len(terms) == 2:
-            i, j = terms
-            return _binomial_power(cs[i], i, cs[j], j, exponent)
-        result = Polynomial((1,))
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        if not cs:
+            return ZERO if exponent else ONE
+        v = 0
+        while not cs[v]:
+            v += 1
+        d = lcm(*[c.denominator for c in cs])
+        p = [c.numerator * (d // c.denominator) for c in cs[v:]]
+        p0, n = p[0], len(p) - 1
+        q = [p0**exponent]
+        if n:  # a constant P has nothing to recur on
+            terms = [(j, (exponent + 1) * j, p[j]) for j in range(1, n + 1) if p[j]]
+            for k in range(1, n * exponent + 1):
+                s = 0
+                for j, ej, pj in terms:
+                    if j > k:
+                        break
+                    s += (ej - k) * pj * q[k - j]
+                q.append(s // (k * p0))
+        de = d**exponent
+        return Polynomial._trusted([Fraction(0)] * (v * exponent) + [Fraction(c, de) for c in q])
 
     def __divmod__(self, other) -> tuple["Polynomial", "Polynomial"]:
         """Exact long division: f = q*g + r with r = 0 or degree(r) < degree(g)."""
@@ -251,28 +262,6 @@ class Polynomial:
 def _is_monomial(cs: tuple[Fraction, ...]) -> bool:
     """c*x^j: a nonempty coefficient sequence that is zero but for its last entry."""
     return bool(cs) and not any(cs[:-1])
-
-
-def _binomial_power(a: Fraction, i: int, b: Fraction, j: int, e: int) -> Polynomial:
-    """(a*x^i + b*x^j)^e for i < j, by the binomial theorem in one O(e) pass.
-
-    The coefficient of x^(i*(e-k) + j*k) is C(e,k) * a^(e-k) * b^k, built
-    from integer powers of the numerators and denominators of a and b,
-    with one Fraction (one gcd) per coefficient.
-    """
-    an, ad = _powers(a.numerator, e), _powers(a.denominator, e)
-    bn, bd = _powers(b.numerator, e), _powers(b.denominator, e)
-    out = [Fraction(0)] * (j * e + 1)
-    c = 1  # C(e, k)
-    for k in range(e + 1):
-        out[i * e + (j - i) * k] = Fraction(c * an[e - k] * bn[k], ad[e - k] * bd[k])
-        c = c * (e - k) // (k + 1)
-    return Polynomial._trusted(out)
-
-
-def _powers(n: int, e: int) -> list[int]:
-    """[n^0, n^1, ..., n^e]."""
-    return list(accumulate(repeat(n, e), operator.mul, initial=1))
 
 
 def _coerce(value) -> Polynomial | None:

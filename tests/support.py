@@ -4,7 +4,8 @@ The oracles deliberately take different routes than the code under
 test: products and sums are plain ``Fraction`` loops over ``.coeffs``
 with no shortcut for zeros, the power rule is applied coefficient by
 coefficient, local
-expansions are recomputed by binomial expansion of (p + t)**i,
+expansions are recomputed by binomial expansion of (p + t)**i with
+``math.comb`` over plain ``Fraction``s,
 tangents are read off those expansions instead of by division,
 rational functions are compared by cross multiplication instead of by
 their canonical forms, and tangent certificates are checked by plain
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import comb
 
 from hypothesis import strategies as st
 
@@ -65,7 +67,7 @@ sparse_polys = st.one_of(
     st.builds(Polynomial, st.lists(_coeffs, max_size=9)),
 )
 
-# a*x^i + b*x^j with 0 <= i < j <= 5 and a, b nonzero: the binomial-theorem power.
+# a*x^i + b*x^j with 0 <= i < j <= 5 and a, b nonzero: a base whose power takes O(e) steps.
 two_term_polys = st.builds(
     lambda ij, a, b: from_terms(dict(zip(ij, (a, b)))),
     st.sets(st.integers(0, 5), min_size=2, max_size=2),
@@ -119,12 +121,16 @@ def power_rule_derivative(f: Polynomial) -> Polynomial:
 
 
 def binomial_shift(f: Polynomial, p: Fraction) -> tuple[Fraction, ...]:
-    """Independent oracle for local expansions: sum of a_i * (p + t)**i."""
-    base = Polynomial((p, 1))  # p + t
-    total = Polynomial()
-    for i, c in enumerate(f.coeffs):
-        total = total + base**i * c
-    return total.coeffs
+    """Independent oracle for local expansions: sum of a_i * (p + t)**i.
+
+    Each (p + t)**i is the sum of C(i, j) * p**(i - j) * t**j, summed in
+    plain Fractions with no Polynomial arithmetic.
+    """
+    out = [Fraction(0)] * len(f.coeffs)
+    for i, a in enumerate(f.coeffs):
+        for j in range(i + 1):
+            out[j] += a * comb(i, j) * p ** (i - j)
+    return _trimmed(out)
 
 
 def expansion_tangent(f: Polynomial, p: Fraction) -> tuple[Fraction, Fraction, Polynomial]:

@@ -353,6 +353,11 @@ class TestDegreeBound:
         assert lower_poly(parse("(x+1)^1024")).coefficient(512) == comb(1024, 512)
         assert calls == ["__pow__"]
 
+    def test_three_term_power_makes_no_product(self, calls):
+        f = lower_poly(parse("(x^2+x+1)^500"))
+        assert (f.degree, f.coefficient(1), f.coefficient(2)) == (1000, 500, comb(500, 2) + 500)
+        assert calls == ["__pow__", "__pow__"]  # x^2, then the 500th power
+
     def test_sum_of_fractions_adds_denominator_degrees(self):
         assert lower_poly(parse("x^1000 + x^1024")).degree == 1024
         with pytest.raises(LoweringError, match=str(MAX_DEGREE)):

@@ -21,6 +21,7 @@ from support import (
     coefficient_sum,
     convolve,
     cross_multiplied_equal,
+    from_terms,
     reference_gcd,
     sparse_polys,
     two_term_polys,
@@ -34,6 +35,9 @@ big_coeffs = st.builds(Fraction, st.integers(10**29, 10**40) | st.integers(-(10*
 mixed_polys = st.builds(Polynomial, st.lists(coeffs | big_coeffs, max_size=7))
 factors = st.lists(coeffs | big_coeffs, min_size=2, max_size=5).filter(lambda cs: cs[-1]).map(
     Polynomial)  # degree >= 1
+# Three to five terms at powers 0..12: a factor x^v when 0 is not drawn, and gaps between.
+gapped_polys = st.dictionaries(st.integers(0, 12), coeffs.filter(bool), min_size=3,
+                               max_size=5).map(from_terms)
 P = 2**61 - 1  # the prime of polynomial_gcd's coprimality certificate
 points = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 scalars = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-99, 99), coeffs)
@@ -87,11 +91,11 @@ def assert_well_formed(p: Polynomial) -> None:
 class TestResultsAreWellFormed:
     """Ring results skip coefficient validation, so check what they hold."""
 
-    @given(sparse_polys, sparse_polys, two_term_polys, coeffs, st.integers(-9, 9), points,
-           st.integers(0, 4))
-    def test_every_operation(self, f, g, t, c, n, p, e):
-        results = [f + g, f + n, n + f, f - g, f - n, n - f, -f,
-                   f * g, f * n, n * f, f * c, c * f, f * 0, f**e, t**e, taylor_shift(f, p)]
+    @given(sparse_polys, sparse_polys, two_term_polys, gapped_polys, coeffs, st.integers(-9, 9),
+           points, st.integers(0, 4))
+    def test_every_operation(self, f, g, t, h, c, n, p, e):
+        results = [f + g, f + n, n + f, f - g, f - n, n - f, -f, f * g, f * n, n * f, f * c,
+                   c * f, f * 0, f**e, t**e, h**e, taylor_shift(f, p)]
         if g:
             results += divmod(f, g)
         if f:
@@ -116,7 +120,9 @@ class TestAgainstPlainArithmetic:
         assert (c * f).coeffs == expected
 
     @given(st.one_of(st.tuples(sparse_polys, st.integers(0, 6)),
-                     st.tuples(two_term_polys, st.integers(0, 40))))
+                     st.tuples(two_term_polys, st.integers(0, 40)),
+                     st.tuples(mixed_polys, st.integers(0, 5)),
+                     st.tuples(gapped_polys, st.integers(0, 15))))
     def test_power(self, base_and_exponent):
         f, e = base_and_exponent
         assert (f**e).coeffs == reduce(convolve, [f.coeffs] * e, (Fraction(1),))
