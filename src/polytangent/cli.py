@@ -78,26 +78,27 @@ def _cmd_tangent(args):
     f = _poly(args.expr)
     p = _scalar(args.p)
     t = tangent_at(f, p)
-    equation = t.equation()
-    difference = f - t.line.as_polynomial()
-    factored = f"({X - p})^2 * ({t.cofactor})"
+    expr, point, slope, intercept = str(f), str(p), str(t.slope), str(t.intercept)
+    cofactor, equation = str(t.cofactor), t.equation()
+    difference = str(f - t.line.as_polynomial())
+    factored = f"({X - p})^2 * ({cofactor})"
     result = {
-        "point": str(t.point),
-        "slope": str(t.slope),
-        "intercept": str(t.intercept),
-        "cofactor": str(t.cofactor),
+        "point": point,
+        "slope": slope,
+        "intercept": intercept,
+        "cofactor": cofactor,
         "equation": equation,
-        "certificate": {"difference": str(difference), "factored": factored, "verified": True},
+        "certificate": {"difference": difference, "factored": factored, "verified": True},
     }
     lines = [
-        f"tangent to f(x) = {f} at p = {p}",
+        f"tangent to f(x) = {expr} at p = {point}",
         f"  {equation}",
-        f"  slope     k = {t.slope}",
-        f"  intercept b = {t.intercept}",
-        f"  cofactor  Q = {t.cofactor}",
+        f"  slope     k = {slope}",
+        f"  intercept b = {intercept}",
+        f"  cofactor  Q = {cofactor}",
         f"  certificate: {difference} = {factored}",
     ]
-    return {"expr": str(f), "p": str(p)}, result, lines
+    return {"expr": expr, "p": point}, result, lines
 
 
 def _cmd_derive(args):
@@ -109,8 +110,8 @@ def _cmd_derive(args):
         kind, d = "rational_function", ratfun_derivative(f)
     else:
         kind, d = "polynomial", derivative(f)
-    lines = [f"d/dx {f} = {d}"]
-    return {"expr": str(f)}, {"kind": kind, "derivative": str(d)}, lines
+    expr, text = str(f), str(d)
+    return {"expr": expr}, {"kind": kind, "derivative": text}, [f"d/dx {expr} = {text}"]
 
 
 def _cmd_check(args):
@@ -120,10 +121,11 @@ def _cmd_check(args):
     m = intersection_multiplicity(f, line, p)
     tangent = m >= 2
     multiplicity = _finite_or_marker(m)
-    inputs = {"expr": str(f), "k": str(line.slope), "b": str(line.intercept), "p": str(p)}
-    result = {"line": line.equation(), "multiplicity": multiplicity, "tangent": tangent}
+    expr, point, equation = str(f), str(p), line.equation()
+    inputs = {"expr": expr, "k": str(line.slope), "b": str(line.intercept), "p": point}
+    result = {"line": equation, "multiplicity": multiplicity, "tangent": tangent}
     lines = [
-        f"f(x) = {f} against {line.equation()} at p = {p}",
+        f"f(x) = {expr} against {equation} at p = {point}",
         f"  intersection multiplicity: {multiplicity}",
         f"  verdict: {'tangent' if tangent else 'not tangent'}",
     ]
@@ -140,23 +142,24 @@ def _cmd_decompose(args):
     f = _poly(args.expr)
     x0 = _scalar(args.x0)
     d = decompose(f, x0)
+    expr, point, value, slope = str(f), str(d.x0), str(d.value), str(d.slope)
     remainder = d.remainder.render("t")
     valuation = _finite_or_marker(remainder_valuation(d))
     result = {
-        "x0": str(d.x0),
-        "value": str(d.value),
-        "slope": str(d.slope),
+        "x0": point,
+        "value": value,
+        "slope": slope,
         "remainder": remainder,
         "valuation": valuation,
     }
     lines = [
-        f"f(x0 + t) for f(x) = {f}, x0 = {x0}",
-        f"  value     f(x0)  = {d.value}",
-        f"  slope     f'(x0) = {d.slope}",
+        f"f(x0 + t) for f(x) = {expr}, x0 = {point}",
+        f"  value     f(x0)  = {value}",
+        f"  slope     f'(x0) = {slope}",
         f"  remainder R(t)   = {remainder}",
         f"  valuation        = {valuation}",
     ]
-    return {"expr": str(f), "x0": str(x0)}, result, lines
+    return {"expr": expr, "x0": point}, result, lines
 
 
 def _cmd_expand(args):
@@ -175,6 +178,7 @@ def _cmd_table(args):
     x0 = _scalar(args.x0)
     table = quotient_table(f, x0, args.steps)
     slope = table[0].quotient - table[0].gap  # gap = quotient - f'(x0), exactly
+    expr, point = str(f), str(x0)
     rows = [
         {
             "h": str(r.h),
@@ -188,15 +192,15 @@ def _cmd_table(args):
         for r in table
     ]
     lines = [
-        f"difference quotients for f(x) = {f} at x0 = {x0} (slope {slope})",
+        f"difference quotients for f(x) = {expr} at x0 = {point} (slope {slope})",
         f"  {'h':>12}  {'dy/dx':>16}  {'gap':>16}  {'gap (decimal)':>16}",
     ]
     lines += [
         f"  {row['h']:>12}  {row['quotient']:>16}  {row['gap']:>16}  {row['gap_decimal']:>16}"
         for row in rows
     ]
-    inputs = {"expr": str(f), "x0": str(x0), "steps": args.steps}
-    return inputs, {"x0": str(x0), "slope": str(slope), "rows": rows}, lines
+    inputs = {"expr": expr, "x0": point, "steps": args.steps}
+    return inputs, {"x0": point, "slope": str(slope), "rows": rows}, lines
 
 
 def _cmd_rules(args):
@@ -206,8 +210,9 @@ def _cmd_rules(args):
     if composed > MAX_DEGREE:
         raise LoweringError(f"f(g) has degree {composed}, over the limit of {MAX_DEGREE}")
     df, dg = derivative(f), derivative(g)  # shared by every right-hand side
+    f_text, g_text = str(f), str(g)
     reports = []
-    lines = [f"differentiation rules for f = {f}, g = {g}"]
+    lines = [f"differentiation rules for f = {f_text}, g = {g_text}"]
     for name, verify in VERIFIERS.items():
         try:
             rep = verify(f, g, df, dg)
@@ -217,10 +222,11 @@ def _cmd_rules(args):
             )
             lines.append(f"  {name:>8}: input error: {exc}")
             continue
-        reports.append({"rule": name, "lhs": str(rep.lhs), "rhs": str(rep.rhs), "holds": rep.holds})
+        lhs, rhs = str(rep.lhs), str(rep.rhs)
+        reports.append({"rule": name, "lhs": lhs, "rhs": rhs, "holds": rep.holds})
         word = "holds" if rep.holds else "FAILS"
-        lines.append(f"  {name:>8}: {word}  {rep.lhs} == {rep.rhs}")
-    return {"f": str(f), "g": str(g)}, {"reports": reports}, lines
+        lines.append(f"  {name:>8}: {word}  {lhs} == {rhs}")
+    return {"f": f_text, "g": g_text}, {"reports": reports}, lines
 
 
 def _cmd_dual(args):

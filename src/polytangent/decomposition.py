@@ -25,7 +25,7 @@ from fractions import Fraction
 from .dual import Dual, eval_poly
 from .polynomial import Polynomial
 from .rational import exact
-from .tangency import taylor_shift, valuation
+from .tangency import INFINITE, taylor_shift
 
 # Row k of a degree-n table holds numbers of about n*k digits, so the
 # cost grows faster than the row count: at degree 5 on a 2-vCPU Xeon,
@@ -83,7 +83,7 @@ def remainder_valuation(d: Decomposition):
 
     By construction this is at least 2 whenever it is finite.
     """
-    return valuation(d.remainder)
+    return next((i for i, c in enumerate(d.remainder.coeffs) if c), INFINITE)
 
 
 def quotient_table(f: Polynomial, x0, steps: int) -> list[QuotientRow]:

@@ -11,10 +11,9 @@ pure function of the inputs.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from .decomposition import increment
-from .polynomial import Polynomial
+from .polynomial import Polynomial, integer_content
 from .rational import exact
 from .tangency import tangent_at
 
@@ -56,13 +55,11 @@ def _sample_curve(f: Polynomial, lo: Fraction, hi: Fraction, samples: int) -> li
     the floats equal those of evaluating f at each Fraction x.
     """
     steps = samples - 1
-    den = lcm(lo.denominator, hi.denominator)
-    a_lo, a_hi = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
+    (a_lo, a_hi), den = integer_content((lo, hi))
     c = den * steps
-    d = lcm(*(coeff.denominator for coeff in f.coeffs))
-    top = max(len(f.coeffs) - 1, 0)
-    scaled = [coeff.numerator * (d // coeff.denominator) * c ** (top - k)
-              for k, coeff in enumerate(f.coeffs)]
+    ints, d = integer_content(f.coeffs)
+    top = max(len(ints) - 1, 0)
+    scaled = [n * c ** (top - k) for k, n in enumerate(ints)]
     scaled.reverse()
     y_den = d * c**top
     curve = []

@@ -163,8 +163,7 @@ class Polynomial:
         v = 0
         while not cs[v]:
             v += 1
-        d = lcm(*[c.denominator for c in cs])
-        p = [c.numerator * (d // c.denominator) for c in cs[v:]]
+        p, d = integer_content(cs[v:])
         p0, n = p[0], len(p) - 1
         q = [p0**exponent]
         if n:  # a constant P has nothing to recur on
@@ -264,6 +263,12 @@ def _is_monomial(cs: tuple[Fraction, ...]) -> bool:
     return bool(cs) and not any(cs[:-1])
 
 
+def integer_content(cs: tuple[Fraction, ...]) -> tuple[list[int], int]:
+    """(ints, d) with d the lcm of the denominators and cs[i] = ints[i] / d; ([], 1) for none."""
+    d = lcm(*[c.denominator for c in cs])
+    return [c.numerator * (d // c.denominator) for c in cs], d
+
+
 def _coerce(value) -> Polynomial | None:
     if isinstance(value, Polynomial):
         return value
@@ -302,26 +307,17 @@ def polynomial_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
 _P = 2**61 - 1  # a Mersenne prime: residues are word-sized Python ints
 
 
-def _mod_p(cs: tuple[Fraction, ...]) -> list[int] | None:
-    """The coefficients mod _P; None if a denominator or the last coefficient is 0 mod _P."""
-    out = []
-    for c in cs:
-        d = c.denominator % _P
-        if not d:
-            return None
-        n = c.numerator % _P
-        out.append(n if d == 1 else n * pow(d, -1, _P) % _P)
-    return out if out[-1] else None
-
-
 def _coprime_mod_p(f: tuple[Fraction, ...], g: tuple[Fraction, ...]) -> bool:
     """True when f and g (degree >= 1) reduce mod _P, keep their degrees, and are coprime there.
 
-    False means only that this test proves nothing.
+    Each enters as its integer content: scaling by d, a unit mod _P
+    unless _P divides a denominator, changes no gcd degree.  False means
+    only that this test proves nothing.
     """
-    a, b = _mod_p(f), _mod_p(g)
-    if a is None or b is None:
-        return False
+    (a, da), (b, db) = integer_content(f), integer_content(g)
+    a, b = [n % _P for n in a], [n % _P for n in b]
+    if not (da % _P and db % _P and a[-1] and b[-1]):
+        return False  # a denominator or a leading coefficient vanishes mod _P
     while len(b) > 1:  # b has degree >= 1: replace (a, b) by (b, a mod b)
         inv, nb = pow(b[-1], -1, _P), len(b)
         for i in range(len(a) - nb, -1, -1):

@@ -8,7 +8,7 @@ A line y = k*x + b is tangent to a polynomial f at x = p exactly when
 for some cofactor polynomial Q.  The tangent is f mod (x - p)**2, from
 two synthetic divisions by (x - p): the remainders are f(p), then the
 slope k, so b = f(p) - p*k, and Q is the second quotient; the
-factorization is re-checked by exact multiplication.  The multiplicity
+factorization is re-checked coefficient by coefficient.  The multiplicity
 divides until a remainder is nonzero; n divisions give the Taylor shift.
 
 Letting p vary produces the derivative as a function.  It is generated
@@ -76,11 +76,6 @@ def taylor_shift(f: Polynomial, center) -> Polynomial:
     return Polynomial._trusted(out)
 
 
-def valuation(g: Polynomial):
-    """Index of the lowest nonzero coefficient of g; INFINITE when g is zero."""
-    return next((i for i, c in enumerate(g.coeffs) if c), INFINITE)
-
-
 def intersection_multiplicity(f: Polynomial, line: LinearFunction, point):
     """Largest m with (x - point)**m dividing f - line; INFINITE if identical.
 
@@ -111,14 +106,22 @@ def tangent_at(f: Polynomial, point) -> TangentLine:
 
     Two synthetic divisions: f = (x - p)*q1 + f(p) and q1 = (x - p)*Q + k,
     so f - (k*x + b) = (x - p)**2 * Q with b = f(p) - p*k, re-verified by
-    multiplication with (x - p)**2 built afresh.  A constant gets its own
-    horizontal line, the zero polynomial y = 0, both with a zero cofactor.
+    writing the right-hand side out in plain Fractions, with no Polynomial
+    product or power.  A constant gets its own horizontal line, the zero
+    polynomial y = 0, both with a zero cofactor.
     """
     p = exact(point)
     q1, value = _divide(list(f.coeffs) + [Fraction(0)] * (2 - len(f.coeffs)), p)
     q, k = _divide(q1, p)
     b, cofactor = value - p * k, Polynomial._trusted(q)
-    if (X - p) ** 2 * cofactor + Polynomial((b, k)) != f:
+    # Coefficient i of (x - p)**2 * Q is q[i-2] - 2p*q[i-1] + p**2*q[i], and padded[i + 2] is q[i].
+    two_p, p2 = 2 * p, p * p
+    padded = [0, 0, *cofactor.coeffs, 0, 0]
+    rebuilt = [padded[i] - two_p * padded[i + 1] + p2 * padded[i + 2]
+               for i in range(len(padded) - 2)]
+    rebuilt[0] += b
+    rebuilt[1] += k
+    if Polynomial._trusted(rebuilt) != f:
         raise CertificateError(f"tangent certificate failed for f = {f} at p = {p}")
     return TangentLine(p, k, b, cofactor)
 

@@ -15,7 +15,7 @@ import polytangent
 from polytangent import cli, tangency
 from polytangent.decomposition import MAX_STEPS
 from polytangent.parser import MAX_DEGREE, MAX_DEPTH, MAX_EXPONENT
-from polytangent.polynomial import X
+from polytangent.polynomial import Polynomial, X
 from polytangent.tangency import CertificateError, tangent_at
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -446,6 +446,21 @@ class TestLargeResults:
         with int_digits_unlimited():
             assert real == str(Fraction(987654321) ** 600)
         assert len(real) > 4300
+
+    @pytest.mark.parametrize("mode", [(), ("--json",)], ids=["text", "json"])
+    def test_derive_renders_each_polynomial_once(self, capsys, monkeypatch, mode):
+        """f and f' are each converted to text once, since a huge one takes seconds."""
+        calls = []
+        render = Polynomial.render
+
+        def counted(self, var="x"):
+            calls.append(self)
+            return render(self, var)
+
+        monkeypatch.setattr(Polynomial, "render", counted)
+        code, out = run_cli(capsys, *mode, "derive", "x^3+1")
+        assert code == 0 and "3*x^2" in out
+        assert len(calls) == 2
 
     @pytest.mark.skipif(
         not hasattr(sys, "set_int_max_str_digits"), reason="this Python has no digit limit"
