@@ -24,7 +24,7 @@ from .parser import (
     MAX_DEGREE, MAX_EXPONENT, LoweringError, ParseError, lower_poly, lower_ratfun, parse
 )
 from .plotting import render_figure
-from .polynomial import LinearFunction, Polynomial, X
+from .polynomial import LinearFunction, Polynomial, X, render_terms
 from .rational import to_decimal
 from .rules import VERIFIERS
 from .tangency import (
@@ -167,7 +167,7 @@ def _cmd_expand(args):
     p = _scalar(args.p)
     shifted = taylor_shift(f, p)
     coefficients = [str(c) for c in shifted.coeffs]
-    polynomial = shifted.render("t")
+    polynomial = render_terms(coefficients, "t")
     result = {"center": str(p), "coefficients": coefficients, "polynomial": polynomial}
     lines = [f"f({p} + t) = {polynomial}", f"  coefficients: {', '.join(coefficients)}"]
     return {"expr": str(f), "p": str(p)}, result, lines

@@ -13,7 +13,10 @@ dual-Horner derivative step is two shifts and an add, and a sum adds no
 zero coefficient.  A power makes no product: Miller's recurrence runs on
 the integer numerators over one common denominator and skips the zero
 coefficients of the base, so ``(c*x^j)^e`` takes no step and a two-term
-base O(e) steps.  A :class:`RationalFunction` is a canonical value only:
+base O(e) steps.  A composition f(g) makes no ``Fraction`` until its
+end: Horner runs on the integer numerators of f and g, each over its
+common denominator, and one division per coefficient builds the result.
+A :class:`RationalFunction` is a canonical value only:
 the arithmetic of rational expressions happens on numerator and
 denominator polynomials while ``parser.parse`` reads the text, and
 ``parser.lower_ratfun`` reduces the result once.
@@ -215,9 +218,31 @@ class Polynomial:
     def __call__(self, x):
         """Horner evaluation at any ring element.
 
-        Works for exact rationals, for other polynomials (giving the
-        composition f(g)), and for dual numbers.
+        For a polynomial g the composition f(g) runs on the integer
+        content: with f = F/d and g = G/e, the Horner step
+        acc <- acc*G + F_i*e^(n-i) gives f(g) = acc/(d*e^n), so the loop
+        makes no Fraction and the result one per coefficient.  Any other
+        argument, an exact rational or a dual number, takes the generic
+        Horner over its own ring.
         """
+        if isinstance(x, Polynomial):
+            # A zero g enters as the constant 0, so every out has a constant slot.
+            (fs, d), (gs, e) = integer_content(self.coeffs), integer_content(x.coeffs or (0,))
+            if not fs:
+                return ZERO
+            terms = [(j, b) for j, b in enumerate(gs) if b]
+            acc, scale = fs[-1:], 1
+            for c in reversed(fs[:-1]):
+                scale *= e
+                out = [0] * (len(acc) + len(gs) - 1)
+                for i, a in enumerate(acc):
+                    if a:
+                        for j, b in terms:
+                            out[i + j] += a * b
+                out[0] += c * scale
+                acc = out
+            den = d * scale
+            return Polynomial._trusted([Fraction(c, den) for c in acc])
         acc = x * 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -227,35 +252,41 @@ class Polynomial:
 
     def render(self, var: str = "x") -> str:
         """Canonical text: descending powers, explicit signs, `^` exponents."""
-        if not self.coeffs:
-            return "0"
-        # The sign comes from the numerator and the magnitude is str(c) less
-        # its "-", so rendering does no Fraction arithmetic or comparison.
-        parts: list[str] = []
-        for power in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[power]
-            if not c:
-                continue
-            size = str(c)
-            negative = c.numerator < 0
-            if negative:
-                size = size[1:]
-            if power == 0:
-                body = size
-            else:
-                sym = var if power == 1 else f"{var}^{power}"
-                body = sym if size == "1" else f"{size}*{sym}"
-            if not parts:
-                parts.append(f"-{body}" if negative else body)
-            else:
-                parts.append(f"- {body}" if negative else f"+ {body}")
-        return " ".join(parts)
+        return render_terms([str(c) if c else "0" for c in self.coeffs], var)
 
     def __str__(self) -> str:
         return self.render()
 
     def __repr__(self) -> str:
         return f"Polynomial({[str(c) for c in self.coeffs]})"
+
+
+def render_terms(texts: list[str], var: str = "x") -> str:
+    """The canonical text of the polynomial whose coefficient i prints as texts[i].
+
+    A "0" entry is a zero term and is left out.  The sign is the text's
+    leading "-", so rendering does no Fraction arithmetic or comparison,
+    and a caller that already holds the coefficient strings converts none
+    of them again.
+    """
+    parts: list[str] = []
+    for power in range(len(texts) - 1, -1, -1):
+        size = texts[power]
+        if size == "0":
+            continue
+        negative = size[0] == "-"
+        if negative:
+            size = size[1:]
+        if power == 0:
+            body = size
+        else:
+            sym = var if power == 1 else f"{var}^{power}"
+            body = sym if size == "1" else f"{size}*{sym}"
+        if not parts:
+            parts.append(f"-{body}" if negative else body)
+        else:
+            parts.append(f"- {body}" if negative else f"+ {body}")
+    return " ".join(parts) or "0"
 
 
 def _is_monomial(cs: tuple[Fraction, ...]) -> bool:

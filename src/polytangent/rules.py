@@ -1,13 +1,25 @@
 """The differentiation rules, verified as exact algebraic identities.
 
 The derivative construction never dispatches on expression structure,
-so sum, product, quotient, and chain rules are theorems about it rather
-than baked-in rewrite rules.  Each verifier takes f, g and their
-derivatives df, dg, computed once by the caller, which only its
-right-hand side uses: the left-hand side differentiates f + g, f*g, f/g
-or f(g) itself, so the two sides are still independent computations.
-It reports whether they agree in canonical form; a failing report
-anywhere is a bug.
+so the sum, product and chain rules are theorems about it rather than
+baked-in rewrite rules.  Each verifier takes f, g and their derivatives
+df, dg, computed once by the caller, which only its right-hand side
+uses: the left-hand side differentiates f + g, f*g, f/g or f(g) itself.
+It reports whether the two sides agree in canonical form; a failing
+report anywhere is a bug.  What each identity checks:
+
+- sum and product: the dual-Horner derivative of f + g and f*g against
+  df + dg and df*g + f*dg.
+- chain: both sides compose with the same ``Polynomial.__call__``, f(g)
+  on the left and df(g) on the right, so the identity checks the
+  derivative of a composition, not the composition.  A composition that
+  dropped g's constant term would still pass, since g' is unchanged; the
+  composition itself rests on the tests' Fraction-only oracle.
+- quotient: the left-hand side is ``ratfun_derivative``, which is the
+  quotient rule in reduced form, through gcd(g, g'); the right-hand side
+  is the plain quotient rule.  So the identity checks that reduction,
+  and the quotient rule is not derived here from the derivative
+  construction.
 """
 
 from __future__ import annotations

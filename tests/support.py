@@ -1,9 +1,9 @@
 """Seeded generators, Hypothesis strategies and independent oracles shared by the tests.
 
 The oracles deliberately take different routes than the code under
-test: products and sums are plain ``Fraction`` loops over ``.coeffs``
-with no shortcut for zeros, the power rule is applied coefficient by
-coefficient, local
+test: products, sums and compositions are plain ``Fraction`` loops
+over ``.coeffs`` with no shortcut for zeros, the power rule is applied
+coefficient by coefficient, local
 expansions are recomputed by binomial expansion of (p + t)**i with
 ``math.comb`` over plain ``Fraction``s,
 tangents are read off those expansions instead of by division,
@@ -115,6 +115,18 @@ def coefficient_sum(a, b, sign=1) -> tuple[Fraction, ...]:
     return _trimmed([Fraction(x) + sign * y for x, y in zip(a, b)])
 
 
+def compose(f, g) -> tuple[Fraction, ...]:
+    """Independent composition oracle: the coefficients of f(g) by Horner over ``convolve``.
+
+    Takes two coefficient sequences and works in plain Fractions, with no
+    common denominator and no shortcut for zero or constant operands.
+    """
+    acc: tuple[Fraction, ...] = ()
+    for c in reversed(f):
+        acc = coefficient_sum(convolve(acc, g), (c,))
+    return acc
+
+
 def power_rule_derivative(f: Polynomial) -> Polynomial:
     """Independent oracle: differentiate term by term with the power rule."""
     return Polynomial(i * c for i, c in enumerate(f.coeffs) if i > 0)
@@ -140,7 +152,7 @@ def expansion_tangent(f: Polynomial, p: Fraction) -> tuple[Fraction, Fraction, P
     intercept c0 - c1*p, and the cofactor is T composed with x - p.
     """
     c = binomial_shift(f, p) + (Fraction(0), Fraction(0))
-    return c[1], c[0] - c[1] * p, Polynomial(c[2:])(Polynomial((-p, 1)))
+    return c[1], c[0] - c[1] * p, Polynomial(compose(c[2:], (-p, 1)))
 
 
 def cross_multiplied_equal(a: RationalFunction, b: RationalFunction) -> bool:

@@ -462,6 +462,22 @@ class TestLargeResults:
         assert code == 0 and "3*x^2" in out
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("mode", [(), ("--json",)], ids=["text", "json"])
+    def test_expand_converts_each_coefficient_once(self, capsys, monkeypatch, mode):
+        """7^50 is converted once for the echoed input and once for the shifted coefficient."""
+        big, calls = Fraction(7**50), []
+        to_str = Fraction.__str__
+
+        def counted(self):
+            if self == big:
+                calls.append(self)
+            return to_str(self)
+
+        monkeypatch.setattr(Fraction, "__str__", counted)
+        code, out = run_cli(capsys, *mode, "expand", "7^50*x", "0")
+        assert code == 0 and f"{7**50}*t" in out
+        assert len(calls) == 2
+
     @pytest.mark.skipif(
         not hasattr(sys, "set_int_max_str_digits"), reason="this Python has no digit limit"
     )

@@ -19,6 +19,7 @@ from polytangent.polynomial import (
 from polytangent.tangency import taylor_shift
 from support import (
     coefficient_sum,
+    compose,
     convolve,
     cross_multiplied_equal,
     from_terms,
@@ -41,6 +42,22 @@ gapped_polys = st.dictionaries(st.integers(0, 12), coeffs.filter(bool), min_size
 P = 2**61 - 1  # the prime of polynomial_gcd's coprimality certificate
 points = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 scalars = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-99, 99), coeffs)
+
+
+def _composable(primes):
+    """Degree <= 8 over small and large prime denominators; zero, constants and x*h drawn apart."""
+    cs = coeffs | st.builds(Fraction, st.integers(-(10**12), 10**12), st.sampled_from(primes))
+    return st.one_of(
+        st.just(ZERO),
+        cs.map(lambda c: Polynomial((c,))),
+        st.builds(Polynomial, st.lists(cs, max_size=9)),
+        st.lists(cs, max_size=8).map(lambda tail: Polynomial([0, *tail])),  # zero constant term
+    )
+
+
+# The two sides take different primes, so the common denominators of f and g are coprime.
+outer_polys = _composable((10**9 + 7, 998_244_353))
+inner_polys = _composable((2**31 - 1, 2**61 - 1))
 
 
 class TestStructure:
@@ -251,6 +268,13 @@ class TestComposition:
         g = 3 * X**2 - Fraction(1, 2)
         assert X(g) == g
         assert (X**3)(2 * X) == 8 * X**3
+        f = 2 * X**2 - X + Fraction(1, 3)
+        assert ZERO(f) == ZERO and Polynomial((5,))(f) == 5
+        assert f(ZERO) == Fraction(1, 3) and f(Polynomial((3,))) == Fraction(46, 3)
+
+    @given(outer_polys, inner_polys)
+    def test_matches_reference(self, f, g):
+        assert f(g).coeffs == compose(f.coeffs, g.coeffs)
 
 
 class TestGcd:
