@@ -16,6 +16,10 @@ coefficients of the base, so ``(c*x^j)^e`` takes no step and a two-term
 base O(e) steps.  A composition f(g) makes no ``Fraction`` until its
 end: Horner runs on the integer numerators of f and g, each over its
 common denominator, and one division per coefficient builds the result.
+Division and the gcd run on the same integer numerators: a division is
+Knuth's pseudo-division, and a gcd that the test mod 2^61 - 1 does not
+settle is a primitive remainder sequence, each building its
+``Fraction``s once at the end.
 A :class:`RationalFunction` is a canonical value only:
 the arithmetic of rational expressions happens on numerator and
 denominator polynomials while ``parser.parse`` reads the text, and
@@ -27,7 +31,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .rational import exact
 
@@ -182,25 +186,32 @@ class Polynomial:
         return Polynomial._trusted([Fraction(0)] * (v * exponent) + [Fraction(c, de) for c in q])
 
     def __divmod__(self, other) -> tuple["Polynomial", "Polynomial"]:
-        """Exact long division: f = q*g + r with r = 0 or degree(r) < degree(g)."""
+        """Exact division f = q*g + r, with r = 0 or degree(r) < degree(g), on integer content.
+
+        With f = a/d and g = b/e, pseudo-division gives lc(b)^t * a = Q*b + R
+        for t = deg a - deg b + 1, so q = Q*e/(d*lc^t) and r = R/(d*lc^t),
+        one Fraction per coefficient.  A constant g scales f, and g = 1
+        returns f itself.
+        """
         other = _coerce(other)
         if other is None:
             return NotImplemented
         if not other.coeffs:
             raise ZeroDivisionError("polynomial division by the zero polynomial")
-        den = other.coeffs
-        rem = list(self.coeffs)
-        if len(rem) < len(den):
-            return Polynomial(), self
-        lead = den[-1]
-        quot = [Fraction(0)] * (len(rem) - len(den) + 1)
-        for i in range(len(quot) - 1, -1, -1):
-            c = rem[i + len(den) - 1] / lead
-            if c:
-                quot[i] = c
-                for j, d in enumerate(den):
-                    rem[i + j] -= c * d
-        return Polynomial._trusted(quot), Polynomial._trusted(rem[: len(den) - 1])
+        if len(self.coeffs) < len(other.coeffs):
+            return ZERO, self
+        if len(other.coeffs) == 1:
+            c = other.coeffs[0]
+            return (self if c == 1 else self * (1 / c)), ZERO
+        (a, d), (b, e) = integer_content(self.coeffs), integer_content(other.coeffs)
+        tops, rem = _pseudo_divide(a, b)
+        # Q has tops[i]*lc^k at x^k for k = t-1-i, so q has tops[i]*e/(d*lc^(i+1)) there.
+        quot, den = [], d
+        for top in tops:
+            den *= b[-1]
+            quot.append(Fraction(top * e, den))
+        quot.reverse()
+        return Polynomial._trusted(quot), Polynomial._trusted([Fraction(c, den) for c in rem])
 
     def __floordiv__(self, other) -> "Polynomial":
         return divmod(self, other)[0]
@@ -314,38 +325,77 @@ X = Polynomial((0, 1))
 
 
 def polynomial_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Monic greatest common divisor by the Euclidean algorithm.
+    """Monic greatest common divisor, by a primitive remainder sequence on integer content.
 
     gcd(f, 0) is monic(f); gcd(0, 0) is undefined and raises.  When f
     and g both have degree >= 1, a Euclid mod the prime P = 2^61 - 1
     runs first, and a constant gcd there proves gcd(f, g) = 1 (Brown,
     JACM 1971): if no coefficient denominator and neither leading
     coefficient vanishes mod P, a common factor over Q keeps its degree
-    mod P.  Any other outcome runs the exact Euclid over Fractions.
+    mod P.  Any other outcome runs the primitive PRS (Knuth, TAOCP 4.6.1)
+    on the integer numerators: each step takes a pseudo-remainder and
+    divides out its content, and the last nonzero one, made monic, is
+    the gcd.
     """
     if not f and not g:
         raise ValueError("gcd(0, 0) is undefined")
-    if f.degree and g.degree and _coprime_mod_p(f.coeffs, g.coeffs):
+    (a, da), (b, db) = integer_content(f.coeffs), integer_content(g.coeffs)
+    if f.degree and g.degree and _coprime_mod_p(a, da, b, db):
         return ONE
-    a, b = f, g
+    a, b = _primitive(a), _primitive(b)
     while b:
-        a, b = b, a % b
-        if b:
-            b = b.monic()  # rescaling each step keeps coefficient growth tame
-    return a.monic()
+        if len(b) == 1:
+            return ONE  # a nonzero constant divides everything
+        a, b = b, _primitive(_pseudo_divide(a, b)[1])
+    return Polynomial._trusted([Fraction(c, a[-1]) for c in a])
+
+
+def _pseudo_divide(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """Knuth's Algorithm R: (tops, R) with lc^t * a = Q*b + R for lc = b[-1], deg b >= 1.
+
+    t = len(a) - len(b) + 1.  Step i reads the top of the window, tops[i], so that Q
+    has tops[i]*lc^k at x^k for k = t-1-i, then scales the window by lc
+    and subtracts tops[i]*x^k*b.  An entry below the window takes its
+    pending power lc^i only when the window reaches it, so the division
+    costs O(t*deg b) multiply-adds.  R has len(b) - 1 entries, untrimmed;
+    for t <= 0 it is a itself.
+    """
+    n = len(b) - 1
+    if len(a) <= n:
+        return [], a
+    lead, low = b[-1], b[:-1]
+    window, scale, tops = a[len(a) - n - 1:], 1, []
+    for k in range(len(a) - n - 1, -1, -1):
+        top = window.pop()
+        tops.append(top)
+        if top:
+            window = [lead * u - top * v for u, v in zip(window, low)]
+        else:
+            window = [lead * u for u in window]
+        if k:
+            scale *= lead
+            window.insert(0, a[k - 1] * scale)
+    return tops, window
+
+
+def _primitive(cs: list[int]) -> list[int]:
+    """cs without its trailing zeros, divided by the gcd of its entries ([] for none)."""
+    while cs and not cs[-1]:
+        cs.pop()
+    c = gcd(*cs)
+    return [x // c for x in cs] if c > 1 else cs
 
 
 _P = 2**61 - 1  # a Mersenne prime: residues are word-sized Python ints
 
 
-def _coprime_mod_p(f: tuple[Fraction, ...], g: tuple[Fraction, ...]) -> bool:
-    """True when f and g (degree >= 1) reduce mod _P, keep their degrees, and are coprime there.
+def _coprime_mod_p(a: list[int], da: int, b: list[int], db: int) -> bool:
+    """True when a/da and b/db (degree >= 1) reduce mod _P, keep their degrees and are coprime.
 
     Each enters as its integer content: scaling by d, a unit mod _P
     unless _P divides a denominator, changes no gcd degree.  False means
     only that this test proves nothing.
     """
-    (a, da), (b, db) = integer_content(f), integer_content(g)
     a, b = [n % _P for n in a], [n % _P for n in b]
     if not (da % _P and db % _P and a[-1] and b[-1]):
         return False  # a denominator or a leading coefficient vanishes mod _P

@@ -144,8 +144,10 @@ def ratfun_derivative(r: RationalFunction) -> RationalFunction:
     With h = gcd(g, g') and s = g/h, (f/g)' = (f'*s - f*(g'/h)) / (g*s),
     already canonical: if p**e exactly divides g (p irreducible), p**(e-1)
     exactly divides g' and h, so p divides f'*s but, as p does not divide
-    f, not f*(g'/h) nor the numerator; and g*s is monic.  One Euclid on
-    (g, g') replaces the one on (f'g - fg', g**2).
+    f, not f*(g'/h) nor the numerator; and g*s is monic.  One gcd of
+    (g, g') replaces the one of (f'g - fg', g**2): the test mod 2^61 - 1
+    usually proves h = 1, and the two divisions by h then return their
+    operands; otherwise a primitive remainder sequence finds h.
     """
     f, g = r.num, r.den
     dg = derivative(g)

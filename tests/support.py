@@ -1,8 +1,9 @@
 """Seeded generators, Hypothesis strategies and independent oracles shared by the tests.
 
 The oracles deliberately take different routes than the code under
-test: products, sums and compositions are plain ``Fraction`` loops
-over ``.coeffs`` with no shortcut for zeros, the power rule is applied
+test: products, sums, compositions, divisions and gcds are plain
+``Fraction`` loops over ``.coeffs`` with no shortcut for zeros and no
+integer content, the power rule is applied
 coefficient by coefficient, local
 expansions are recomputed by binomial expansion of (p + t)**i with
 ``math.comb`` over plain ``Fraction``s,
@@ -91,20 +92,32 @@ def convolve(a, b) -> tuple[Fraction, ...]:
     return _trimmed(out)
 
 
+def reference_divmod(a, b) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """Independent division oracle: (q, r) with a = q*b + r, by long division in plain Fractions.
+
+    Takes two coefficient sequences, b not zero, and divides by b's
+    leading coefficient at every step, with no integer content and no
+    shortcut for a constant divisor.
+    """
+    r, b = list(_trimmed([Fraction(c) for c in a])), _trimmed([Fraction(c) for c in b])
+    q = [Fraction(0)] * max(len(r) - len(b) + 1, 0)
+    while len(r) >= len(b):
+        c, shift = r[-1] / b[-1], len(r) - len(b)
+        q[shift] = c
+        for j, d in enumerate(b):
+            r[shift + j] -= c * d
+        r = list(_trimmed(r))
+    return _trimmed(q), tuple(r)
+
+
 def reference_gcd(a, b) -> tuple[Fraction, ...]:
-    """Independent gcd oracle: a monic Euclid on plain Fraction coefficient sequences.
+    """Independent gcd oracle: a monic Euclid over ``reference_divmod``.
 
     No modular step and no rescaling between steps; a and b are not both zero.
     """
     a, b = _trimmed([Fraction(c) for c in a]), _trimmed([Fraction(c) for c in b])
     while b:
-        r = list(a)
-        while len(r) >= len(b):
-            q, shift = r[-1] / b[-1], len(r) - len(b)
-            for j, d in enumerate(b):
-                r[shift + j] -= q * d
-            r = list(_trimmed(r))
-        a, b = b, tuple(r)
+        a, b = b, reference_divmod(a, b)[1]
     return tuple(c / a[-1] for c in a)
 
 

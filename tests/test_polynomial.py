@@ -4,7 +4,7 @@ from fractions import Fraction
 from functools import reduce
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polytangent.polynomial import (
@@ -23,6 +23,7 @@ from support import (
     convolve,
     cross_multiplied_equal,
     from_terms,
+    reference_divmod,
     reference_gcd,
     sparse_polys,
     two_term_polys,
@@ -36,6 +37,17 @@ big_coeffs = st.builds(Fraction, st.integers(10**29, 10**40) | st.integers(-(10*
 mixed_polys = st.builds(Polynomial, st.lists(coeffs | big_coeffs, max_size=7))
 factors = st.lists(coeffs | big_coeffs, min_size=2, max_size=5).filter(lambda cs: cs[-1]).map(
     Polynomial)  # degree >= 1
+# Degree 29 to 40 with big coefficients: a dividend that takes many pseudo-division steps.
+long_polys = st.builds(lambda cs, c: Polynomial([*cs, c]),
+                       st.lists(coeffs | big_coeffs, min_size=29, max_size=40),
+                       coeffs.filter(bool) | big_coeffs)
+# Divisors, nearly all non-monic: 3x^2 + 2x - 1, a big leading coefficient, or factors.
+divisors = st.one_of(
+    st.just(3 * X**2 + 2 * X - 1),
+    st.builds(lambda low, c: Polynomial([*low, c]), st.lists(coeffs, min_size=1, max_size=3),
+              big_coeffs),
+    factors,
+)
 # Three to five terms at powers 0..12: a factor x^v when 0 is not drawn, and gaps between.
 gapped_polys = st.dictionaries(st.integers(0, 12), coeffs.filter(bool), min_size=3,
                                max_size=5).map(from_terms)
@@ -100,6 +112,7 @@ class TestStructure:
 
 
 def assert_well_formed(p: Polynomial) -> None:
+    assert type(p.coeffs) is tuple
     assert all(type(c) is Fraction for c in p.coeffs)
     assert not p.coeffs or p.coeffs[-1] != 0
     assert p == Polynomial(p.coeffs)
@@ -118,6 +131,12 @@ class TestResultsAreWellFormed:
         if f:
             results.append(f.monic())
         for r in results:
+            assert_well_formed(r)
+
+    @given(outer_polys | mixed_polys | long_polys, inner_polys.filter(bool) | divisors)
+    def test_division(self, f, g):
+        # Large coprime denominators on both sides, and non-monic divisors.
+        for r in divmod(f, g):
             assert_well_formed(r)
 
 
@@ -261,6 +280,18 @@ class TestDivision:
         assert q * g + r == f
         assert not r or r.degree < g.degree
 
+    @given(outer_polys | long_polys, inner_polys.filter(bool) | divisors)
+    def test_matches_reference(self, f, g):
+        # Coprime large denominators; zero f, deg f < deg g, deg f up to 40 and
+        # constant or non-monic g are drawn.
+        q, r = divmod(f, g)
+        assert (q.coeffs, r.coeffs) == reference_divmod(f.coeffs, g.coeffs)
+
+    def test_constant_divisor_scales(self):
+        f = 3 * X**2 - Fraction(1, 2)
+        assert divmod(f, ONE) == (f, ZERO) and divmod(f, ONE)[0] is f
+        assert divmod(f, Fraction(-3, 7)) == (-7 * X**2 + Fraction(7, 6), ZERO)
+
 
 class TestComposition:
     def test_examples(self):
@@ -311,6 +342,23 @@ class TestGcd:
         assert d.coeffs == reference_gcd(fc.coeffs, gc.coeffs)
         assert d % c.monic() == ZERO
 
+    @given(long_polys, divisors)
+    def test_long_multiple_of_a_non_monic_divisor(self, h, c):
+        # deg(h*c) exceeds deg c by up to 40, so the pseudo-remainder takes
+        # many steps by a divisor whose leading coefficient is not 1.
+        hc = Polynomial(convolve(h.coeffs, c.coeffs))
+        d = polynomial_gcd(hc, c)
+        assert d.coeffs == reference_gcd(hc.coeffs, c.coeffs) == c.monic().coeffs
+
+    # The oracle's Fraction Euclid takes tenths of a second per draw here.
+    @settings(max_examples=25)
+    @given(long_polys, divisors, mixed_polys)
+    def test_long_and_short_multiples_of_a_non_monic_divisor(self, h, c, k):
+        hc, kc = Polynomial(convolve(h.coeffs, c.coeffs)), Polynomial(convolve(k.coeffs, c.coeffs))
+        d = polynomial_gcd(hc, kc)
+        assert d.coeffs == reference_gcd(hc.coeffs, kc.coeffs)
+        assert d % c.monic() == ZERO
+
     @pytest.mark.parametrize(
         "c",
         [
@@ -324,7 +372,7 @@ class TestGcd:
     @pytest.mark.parametrize("f,g", [(X, X + 1), (X**2 + 1, X - 3), (ONE, X**3 - X)])
     def test_unlucky_prime_falls_back(self, c, f, g):
         # f and g are coprime, so mod P the common factor c is all that could
-        # show; where it vanishes or cannot be reduced, the exact Euclid runs.
+        # show; where it vanishes or cannot be reduced, the primitive remainder sequence runs.
         fc, gc = f * c, g * c
         d = polynomial_gcd(fc, gc)
         assert d == c.monic()
