@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
@@ -328,6 +329,12 @@ COMMANDS = {
 }
 
 
+# argparse reads an argument that starts with "-" as an option unless its
+# _negative_number_matcher takes it for a number; this one takes "-x^2",
+# "-(x+1)" and "-1/2" for operands too.  No option starts that way.
+_OPERAND = re.compile(r"-[\d.x(]")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process.
@@ -345,6 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
+        p._negative_number_matcher = _OPERAND
         for positional in command.positionals:
             p.add_argument(positional)
         for flag, keywords in command.options:

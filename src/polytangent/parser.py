@@ -21,21 +21,24 @@ No syntax tree is built, and nothing recurses.  One loop with an
 operator stack (Dijkstra's shunting yard) checks the syntax and writes
 the expression as a flat postfix list.  Two loops over that list follow:
 the first bounds every degree without arithmetic, the second folds the
-value into an unreduced numerator and denominator.  In the fold, a part
-without x stays a plain ``Fraction`` and becomes a ``Polynomial`` only
-where it meets x.  A fraction such as ``1/2`` is an ordinary division,
+value into an unreduced numerator and denominator.  The fold keeps two
+kinds of value.  A monomial c*x^k, a constant being k = 0, is a pair
+(c, k) of a ``Fraction`` and an int, and becomes a ``Polynomial`` only
+where it meets an unlike power or a value that is no monomial; a dense
+sum then adds each further term into one slot of a copy of the
+coefficient tuple.  Any other value is a pair (num, den) of
+``Polynomial``s.  A fraction such as ``1/2`` is an ordinary division,
 and a constant divisor folds into the coefficients, so ``1/2*x`` means
 (1/2)*x by left associativity, matching the canonical rendering.
 """
 
 from __future__ import annotations
 
-import operator
 import re
 from collections import namedtuple
 from fractions import Fraction
 
-from .polynomial import ONE, Polynomial, RationalFunction, X
+from .polynomial import ONE, Polynomial, RationalFunction
 
 
 class ParseError(Exception):
@@ -213,12 +216,27 @@ def _fold_constant(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polyno
     return (num if scale == 1 else num * (Fraction(1) / scale)), ONE
 
 
+_ZERO = Fraction(0)
+_X = (Fraction(1), 1)  # x as the monomial (c, k) = (1, 1)
+
+
 def _pair(value) -> tuple[Polynomial, Polynomial]:
-    """A stack value as (num, den): a constant becomes a Polynomial only when it meets x."""
-    return value if value.__class__ is tuple else (Polynomial._trusted([value]), ONE)
+    """A stack value as (num, den): a monomial (c, k) becomes c*x^k over ONE."""
+    c, k = value
+    if k.__class__ is int:
+        return Polynomial._trusted([_ZERO] * k + [c]), ONE
+    return value
 
 
-_SCALAR_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+def _add_term(p: Polynomial, c: Fraction, k: int) -> Polynomial:
+    """p + c*x^k: a copy of p's coefficients with one slot changed."""
+    out = list(p.coeffs)
+    if k < len(out):
+        out[k] = out[k] + c if out[k] else c
+    else:
+        out += [_ZERO] * (k - len(out))
+        out.append(c)
+    return Polynomial._trusted(out)
 
 
 # (num, den, x_divisor), as parse returns it
@@ -226,8 +244,14 @@ Lowered = tuple[Polynomial, Polynomial, bool]
 
 
 def _fold(code: list) -> Lowered:
-    """Run the postfix code: each value is a Fraction until x enters it, then (num, den).
+    """Run the postfix code on two kinds of value: a monomial (c, k) and a quotient (num, den).
 
+    The class of the second entry tells them apart.  Products, powers
+    and negations of monomials, quotients by a constant and sums of like
+    monomials stay monomials.  A sum of unlike ones makes (p, ONE), and
+    a monomial added to or taken from (p, ONE) changes one slot of a
+    copy of p's coefficients, so a dense sum runs no Python loop over
+    them.  Any other operation lowers its operands through _pair first.
     num/den is unreduced, and den is ONE itself or has x in it, so a
     polynomial folds to (p, ONE).  A power reduces its base first:
     gcd(a, b) = 1 gives gcd(a**n, b**n) = 1.
@@ -237,27 +261,41 @@ def _fold(code: list) -> Lowered:
     for op in code:
         kind = op.__class__
         if kind is Fraction:
-            stack.append(op)
+            stack.append((op, 0))
         elif op == "x":
-            stack.append((X, ONE))
+            stack.append(_X)
         elif kind is int:
-            a = stack.pop()
-            if a.__class__ is Fraction:
-                stack.append(a**op)
-            elif a[1] is ONE:
-                stack.append((a[0] ** op, ONE))
+            a, b = stack.pop()  # (c, k) or (num, den)
+            if b.__class__ is int:
+                stack.append((a**op, b * op))
+            elif b is ONE:
+                stack.append((a**op, ONE))
             else:
-                base = RationalFunction(*a)
+                base = RationalFunction(a, b)
                 stack.append(_fold_constant(base.num**op, base.den**op))
         elif op == "neg":
-            a = stack.pop()
-            stack.append(-a if a.__class__ is Fraction else (-a[0], a[1]))
+            a, b = stack.pop()
+            stack.append((-a, b))
         else:
             b, a = stack.pop(), stack.pop()
-            if op == "/" and not (b if b.__class__ is Fraction else b[0]):  # b, or its num, is 0
+            (c1, k1), (c2, k2) = a, b  # (c, k) of a monomial, (num, den) of a quotient
+            if op == "/" and not c2:  # b is 0*x^k, or its num is 0
                 raise LoweringError("division by zero")
-            if a.__class__ is Fraction and b.__class__ is Fraction:
-                stack.append(_SCALAR_OPS[op](a, b))
+            if k1.__class__ is int and k2.__class__ is int:
+                if op == "*":
+                    stack.append((c1 * c2, k1 + k2))
+                    continue
+                if op == "/":
+                    if not k2:
+                        stack.append((c1 / c2, k1))
+                        continue
+                elif k1 == k2:
+                    stack.append((c1 + c2 if op == "+" else c1 - c2, k1))
+                    continue
+                else:  # a sum of unlike monomials
+                    c1, k1 = _pair(a)
+            if k1 is ONE and k2.__class__ is int and (op == "+" or op == "-"):
+                stack.append((_add_term(c1, c2 if op == "+" else -c2, k2), ONE))
                 continue
             (n1, d1), (n2, d2) = _pair(a), _pair(b)
             if op == "*":

@@ -9,8 +9,12 @@ expansions are recomputed by binomial expansion of (p + t)**i with
 ``math.comb`` over plain ``Fraction``s,
 tangents are read off those expansions instead of by division,
 rational functions are compared by cross multiplication instead of by
-their canonical forms, and tangent certificates are checked by plain
-``Fraction`` evaluation instead of by polynomial arithmetic.
+their canonical forms, tangent certificates are checked by plain
+``Fraction`` evaluation instead of by polynomial arithmetic, a parsed
+sum of monomials is checked against a ``Fraction`` list filled slot by
+slot, and a derivative of a rational function is checked pointwise by
+the double-root criterion instead of by any derivative code; these
+two take plain sequences and call nothing in ``polytangent``.
 """
 
 from __future__ import annotations
@@ -75,6 +79,62 @@ two_term_polys = st.builds(
     _coeffs.filter(bool),
     _coeffs.filter(bool),
 )
+
+
+def assert_well_formed(p: Polynomial) -> None:
+    """A result built without validation holds a trimmed tuple of Fractions."""
+    assert type(p.coeffs) is tuple
+    assert all(type(c) is Fraction for c in p.coeffs)
+    assert not p.coeffs or p.coeffs[-1] != 0
+    assert p == Polynomial(p.coeffs)
+
+
+@st.composite
+def monomial_terms(draw) -> tuple[str, Fraction, int]:
+    """(text, c, k): one term whose value is c*x^k, in a shape the parser may keep as a monomial.
+
+    The shapes are (c)*x^k, cx^k, x^k, a product such as 2x*3x^2, a power
+    such as (2x^2)^3, c*(x)^0 and a quotient by a constant such as
+    x^3/(2/3), each possibly negated; c may be zero.
+    """
+    c, k = draw(_coeffs), draw(st.integers(0, 12))
+    sym = "x" if k == 1 else f"x^{k}"
+    factor = str(c) if c.denominator == 1 and c >= 0 else f"({c})"
+    shape = draw(st.sampled_from(
+        ["explicit", "implicit", "bare", "product", "power", "zeroth", "quotient"]
+    ))
+    if shape == "explicit":
+        text = f"({c})*{sym}"
+    elif shape == "implicit":
+        text = f"{factor}{sym}"
+    elif shape == "bare":
+        text, c = sym, Fraction(1)
+    elif shape == "product":
+        c2, k2 = draw(_coeffs), draw(st.integers(0, 6))
+        text, c, k = f"{factor}{sym}*({c2})x^{k2}", c * c2, k + k2
+    elif shape == "power":
+        e = draw(st.integers(0, 3))
+        text, c, k = f"({factor}{sym})^{e}", c**e, k * e
+    elif shape == "zeroth":
+        text, k = f"({c})*(x)^0", 0
+    else:
+        q = draw(_coeffs.filter(bool))
+        text, c = f"{factor}{sym}/({q})", c / q
+    if draw(st.booleans()):
+        text, c = f"-{text}", -c
+    return text, c, k
+
+
+def monomial_sum(terms) -> tuple[Fraction, ...]:
+    """Independent reference for a sum of monomials: the coefficients of the sum of c*x^k.
+
+    Takes (c, k) pairs and adds each c into slot k of a plain Fraction
+    list, in any order, with no shortcut for zeros.
+    """
+    out = [Fraction(0)] * (max((k for _, k in terms), default=-1) + 1)
+    for c, k in terms:
+        out[k] += c
+    return _trimmed(out)
 
 
 def _trimmed(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
@@ -194,5 +254,38 @@ def certificate_holds(f: Polynomial, k, b, p, cofactor: Polynomial) -> bool:
     for i in range(n + 1):
         x = Fraction(2 * i - n, 3)
         if _horner(f.coeffs, x) - (k * x + b) != (x - p) ** 2 * _horner(cofactor.coeffs, x):
+            return False
+    return True
+
+
+def _divide_by_x_minus(cs, p) -> tuple[list[Fraction], Fraction]:
+    """Synthetic division of the sum of cs[i]*x^i by x - p: (quotient coefficients, remainder)."""
+    acc, out = Fraction(0), []
+    for c in reversed(cs):
+        acc = acc * p + c
+        out.append(acc)
+    rem = out.pop() if out else Fraction(0)
+    out.reverse()
+    return out, rem
+
+
+def quotient_rule_holds(n, d, a, b) -> bool:
+    """Independent witness that a/b is the derivative of n/d, from the double-root criterion.
+
+    Takes four coefficient sequences, d and b nonzero, and uses no
+    derivative code.  At a point p, dividing n by x - p twice leaves
+    the remainders n0 and n1, and d likewise d0 and d1.  The line
+    y = k*x + c is tangent to n/d at p, that is (x - p)**2 divides
+    n - (k*x + c)*d, exactly when k*d0**2 = n1*d0 - n0*d1.  So a/b is
+    the derivative exactly when a(p)*d0**2 = b(p)*(n1*d0 - n0*d1) as
+    polynomials in p, and both sides have degree below
+    T = max(len(a) + 2*len(d), len(b) + len(n) + len(d)): agreement at
+    the integer points 0..T proves the identity.
+    """
+    top = max(len(a) + 2 * len(d), len(b) + len(n) + len(d))
+    for p in range(top + 1):
+        (nq, n0), (dq, d0) = _divide_by_x_minus(n, p), _divide_by_x_minus(d, p)
+        n1, d1 = _horner(nq, p), _horner(dq, p)  # the remainders of the second divisions
+        if _horner(a, p) * d0**2 != _horner(b, p) * (n1 * d0 - n0 * d1):
             return False
     return True

@@ -400,6 +400,48 @@ def run_each(capsys, argvs):
     return outputs
 
 
+class TestLeadingMinus:
+    """An operand that starts with "-" and then a digit, ".", x or "(" needs no "--"."""
+
+    def test_expression_prints_an_envelope(self, capsys):
+        assert run_cli(capsys, "derive", "-x^2") == (0, "d/dx -x^2 = -2*x\n")
+        code, out = run_cli(capsys, "--json", "derive", "-(x+1)")
+        env = json.loads(out)
+        assert (code, env["status"], env["inputs"], env["result"]["derivative"]) == (
+            0, "ok", {"expr": "-x - 1"}, "-1"
+        )
+
+    @pytest.mark.parametrize(
+        "argv,options",
+        [
+            (("check", "x^2", "5", "-6", "3"), 0),
+            (("check", "x^2", "5", "-1/2", "3"), 0),
+            (("tangent", "-x^2 + 1", "-3/2"), 0),
+            (("tangent", "-(x-1)(x+2)", "-.5"), 0),
+            (("rules", "-x^3", "-(x+1)^2"), 0),
+            (("dual", "-x^3", "-0.5", "1"), 0),
+            (("derive", "-1/(x+1)"), 0),
+            (("table", "-2x^2", "-1", "--steps", "2"), 2),
+            (("plot", "-x^3", "-1/2", "--range=-1,1", "--out={tmp}/a.svg"), 2),
+        ],
+    )
+    def test_same_envelope_as_after_double_dash(self, capsys, tmp_path, argv, options):
+        # the last `options` arguments are options; "--" goes before the operands
+        plain = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        cut = len(plain) - options
+        dashed = [plain[0], *plain[cut:], "--", *plain[1:cut]]
+        (code, out, err), dashed_outcome = run_each(
+            capsys, [["--json", *plain], ["--json", *dashed]]
+        )
+        assert (code, err) == (0, "")
+        assert (code, out, err) == dashed_outcome
+
+    def test_other_dash_arguments_are_still_options(self, capsys):
+        ((code, out, err),) = run_each(capsys, [["--json", "derive", "-y"]])
+        assert (code, out) == (2, "")
+        assert err.startswith("usage:")
+
+
 class TestSharedParser:
     # Each pair would differ if a call left state behind in the shared parser.
     SEQUENCE = [

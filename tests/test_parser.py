@@ -13,6 +13,7 @@ from polytangent.parser import (
     MAX_DEGREE, MAX_DEPTH, LoweringError, ParseError, lower_poly, lower_ratfun, parse,
 )
 from polytangent.polynomial import ONE, X, Polynomial, RationalFunction
+from support import assert_well_formed, monomial_sum, monomial_terms
 
 coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 polys = st.builds(Polynomial, st.lists(coeffs, max_size=11))
@@ -347,7 +348,7 @@ class TestDegreeBound:
 
     def test_monomial_power_makes_no_product(self, calls):
         assert lower_poly(parse("x^1024")).coeffs == (0,) * 1024 + (1,)
-        assert calls == ["__pow__"]
+        assert calls == []  # a monomial power stays the pair (1, 1024)
 
     def test_binomial_power_makes_no_product(self, calls):
         assert lower_poly(parse("(x+1)^1024")).coefficient(512) == comb(1024, 512)
@@ -356,12 +357,57 @@ class TestDegreeBound:
     def test_three_term_power_makes_no_product(self, calls):
         f = lower_poly(parse("(x^2+x+1)^500"))
         assert (f.degree, f.coefficient(1), f.coefficient(2)) == (1000, 500, comb(500, 2) + 500)
-        assert calls == ["__pow__", "__pow__"]  # x^2, then the 500th power
+        assert calls == ["__pow__"]  # x^2 stays a pair: only the 500th power
 
     def test_sum_of_fractions_adds_denominator_degrees(self):
         assert lower_poly(parse("x^1000 + x^1024")).degree == 1024
         with pytest.raises(LoweringError, match=str(MAX_DEGREE)):
             lower_ratfun(parse("1/x^600 + 1/(x+1)^600"))
+
+
+class TestMonomialFold:
+    """A sum of monomials, each term folded as a (c, k) pair, against a Fraction-only reference."""
+
+    @given(st.lists(st.tuples(st.sampled_from("+-"), monomial_terms()), min_size=1, max_size=30))
+    def test_sum_matches_the_reference(self, terms):
+        # a leading "-" negates the first term as a unary minus; a leading "+" is dropped
+        text = " ".join(f"{sign} {term}" for sign, (term, _, _) in terms).removeprefix("+ ")
+        pairs = [(c if sign == "+" else -c, k) for sign, (_, c, k) in terms]
+        num, den, x_divisor = parse(text)
+        assert_well_formed(num)
+        assert num.coeffs == monomial_sum(pairs)
+        assert den is ONE and x_divisor is False
+
+    @pytest.mark.parametrize(
+        "text,pairs",
+        [
+            ("x^3 - x^3", [(1, 3), (-1, 3)]),
+            ("x^5 + 1 - x^5", [(1, 5), (1, 0), (-1, 5)]),
+            ("2x*3x^2", [(6, 3)]),
+            ("(2x^2)^3", [(8, 6)]),
+            ("(x)^0", [(1, 0)]),
+            ("(0x)^0", [(1, 0)]),
+            ("x^3/(2/3)", [(Fraction(3, 2), 3)]),
+            ("-x^2 - -3x", [(-1, 2), (3, 1)]),
+            ("1 + x^4 + 0x^9 + 2 + 3x", [(1, 0), (1, 4), (2, 0), (3, 1)]),
+            ("0*x^7", []),
+            ("(x^2 + x + 1) - x^2 + 5x^3", [(1, 1), (1, 0), (5, 3)]),
+            ("4 + (x + 1)^2", [(5, 0), (2, 1), (1, 2)]),
+        ],
+    )
+    def test_known_sums(self, text, pairs):
+        num, den, x_divisor = parse(text)
+        assert_well_formed(num)
+        assert num.coeffs == monomial_sum([(Fraction(c), k) for c, k in pairs])
+        assert den is ONE and x_divisor is False
+
+    def test_monomial_divisors_keep_their_fault_and_flag(self):
+        assert parse("x/x") == (X, X, True)
+        assert parse("2x^3/(4x)") == (2 * X**3, 4 * X, True)
+        assert parse("x^3/(2x^0)") == (Fraction(1, 2) * X**3, ONE, False)
+        for text in ("1/(0*x)", "x^2/(x - x)", "1/(0x^3)^2", "x/(0x + 0)"):
+            with pytest.raises(LoweringError, match="^division by zero$"):
+                parse(text)
 
 
 class TestNestingBound:

@@ -18,6 +18,7 @@ from polytangent.polynomial import (
 )
 from polytangent.tangency import taylor_shift
 from support import (
+    assert_well_formed,
     coefficient_sum,
     compose,
     convolve,
@@ -109,13 +110,6 @@ class TestStructure:
             assert hash(f) == hash(f.coefficient(0))
         else:
             assert hash(f) == hash(f.coeffs)
-
-
-def assert_well_formed(p: Polynomial) -> None:
-    assert type(p.coeffs) is tuple
-    assert all(type(c) is Fraction for c in p.coeffs)
-    assert not p.coeffs or p.coeffs[-1] != 0
-    assert p == Polynomial(p.coeffs)
 
 
 class TestResultsAreWellFormed:

@@ -1,10 +1,17 @@
 """Sum, product, quotient, and chain rules as exact identities."""
 
+import io
+import json
 import random
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from polytangent import cli
+from polytangent.parser import lower_ratfun, parse
 from polytangent.polynomial import ONE, X, ZERO, Polynomial, RationalFunction
 from polytangent.rules import (
     VERIFIERS,
@@ -13,8 +20,19 @@ from polytangent.rules import (
     verify_quotient,
     verify_sum,
 )
-from polytangent.tangency import derivative, tangent_at
-from support import rand_nonzero_polynomial, rand_polynomial, rand_rational
+from polytangent.tangency import derivative, ratfun_derivative, tangent_at
+from support import (
+    convolve,
+    quotient_rule_holds,
+    rand_nonzero_polynomial,
+    rand_polynomial,
+    rand_rational,
+)
+
+_coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+_nonzero = st.lists(_coeffs, min_size=1, max_size=4).filter(lambda cs: cs[-1]).map(tuple)
+# Divisor factors of degree >= 1, so that a power of one is a repeated factor.
+_factors = st.lists(_coeffs, min_size=2, max_size=3).filter(lambda cs: cs[-1]).map(tuple)
 
 
 def check(verify, f, g):
@@ -108,6 +126,45 @@ class TestRandomCorpus:
 
     def test_registry_is_complete(self):
         assert list(VERIFIERS) == ["sum", "product", "quotient", "chain"]
+
+
+def _power(cs, e):
+    out = (Fraction(1),)
+    for _ in range(e):
+        out = convolve(out, cs)
+    return out
+
+
+class TestQuotientWitness:
+    """The derivative of f/g against the pointwise witness from the double-root criterion."""
+
+    @settings(max_examples=60)
+    @given(st.lists(_coeffs, max_size=5), _nonzero, _factors, st.integers(0, 3))
+    @example([1], [1], [0, 1], 2)  # 1/x^2
+    @example([1, 0, 1], [1], [1, 1], 3)  # (x^2 + 1)/(x + 1)^3: g and g' share (x + 1)^2
+    def test_ratfun_derivative(self, n, u, v, e):
+        # n/(u*v^e): a power e >= 2 of v makes gcd(g, g') nonconstant
+        d = convolve(u, _power(v, e))
+        r = ratfun_derivative(RationalFunction(Polynomial(n), Polynomial(d)))
+        assert quotient_rule_holds(n, d, r.num.coeffs, r.den.coeffs)
+
+    @settings(max_examples=40)
+    @given(st.lists(_coeffs, max_size=6), _factors, st.integers(1, 3))
+    @example([-1, 0, 1], [-1, 1], 2)  # (x^2 - 1)/(x - 1)^2
+    def test_derive_output(self, n, v, e):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = cli.main(["--json", "derive", f"({Polynomial(n)})/({Polynomial(v)})^{e}"])
+        env = json.loads(out.getvalue())
+        assert (code, env["result"]["kind"]) == (0, "rational_function")
+        r = lower_ratfun(parse(env["result"]["derivative"]))
+        assert quotient_rule_holds(n, _power(v, e), r.num.coeffs, r.den.coeffs)
+
+    def test_a_wrong_derivative_fails(self):
+        # (1/x)' = -1/x^2, not 1/x^2 or -1/x
+        assert quotient_rule_holds([1], [0, 1], [-1], [0, 0, 1])
+        assert not quotient_rule_holds([1], [0, 1], [1], [0, 0, 1])
+        assert not quotient_rule_holds([1], [0, 1], [-1], [0, 1])
 
 
 class TestWrongDerivativeIsCaught:
