@@ -385,6 +385,14 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
+        if args.output:
+            # An --output that cannot be opened is found before the command
+            # runs, so that run writes no figure.  "a" leaves the file as it is.
+            try:
+                open(args.output, "a", encoding="utf-8").close()
+            except OSError as exc:
+                sys.stdout.write(_payload(args, str(exc)))
+                return 2
         try:
             outcome = COMMANDS[args.command].handler(args)
         except CertificateError as exc:

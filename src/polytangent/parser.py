@@ -17,25 +17,28 @@ an explicit one (``1/2x`` is x/2).  Exponents must be literal
 non-negative integers, and the only variable is ``x``.  Parentheses and
 unary minus signs nest at most ``MAX_DEPTH`` deep.
 
-No syntax tree is built, and nothing recurses.  One loop with an
-operator stack (Dijkstra's shunting yard) checks the syntax and writes
-the expression as a flat postfix list.  Two loops over that list follow:
+No syntax tree is built, and nothing recurses.  The lexer writes each
+token as a plain (kind, value, pos) tuple, and an integer literal stays
+an ``int`` until the fold needs a value.  One loop with an operator
+stack (Dijkstra's shunting yard) checks the syntax and writes the
+expression as a flat postfix list.  Two loops over that list follow:
 the first bounds every degree without arithmetic, the second folds the
-value into an unreduced numerator and denominator.  The fold keeps two
-kinds of value.  A monomial c*x^k, a constant being k = 0, is a pair
-(c, k) of a ``Fraction`` and an int, and becomes a ``Polynomial`` only
-where it meets an unlike power or a value that is no monomial; a dense
-sum then adds each further term into one slot of a copy of the
-coefficient tuple.  Any other value is a pair (num, den) of
-``Polynomial``s.  A fraction such as ``1/2`` is an ordinary division,
-and a constant divisor folds into the coefficients, so ``1/2*x`` means
-(1/2)*x by left associativity, matching the canonical rendering.
+value into an unreduced numerator and denominator.  The fold keeps
+three kinds of value.  A monomial c*x^k, a constant being k = 0, is a
+pair (c, k), and c stays an ``int`` while only integers have met: the
+first quotient of two ints builds the first ``Fraction``, so
+``(37/11)`` builds one.  A sum of unlike monomials is a list of
+coefficients that each further term updates in one slot.  Any other
+value is a pair (num, den) of ``Polynomial``s.  Every coefficient that
+reaches a list or a ``Polynomial`` is a ``Fraction``.  A fraction such
+as ``1/2`` is an ordinary division, and a constant divisor folds into
+the coefficients, so ``1/2*x`` means (1/2)*x by left associativity,
+matching the canonical rendering.
 """
 
 from __future__ import annotations
 
 import re
-from collections import namedtuple
 from fractions import Fraction
 
 from .polynomial import ONE, Polynomial, RationalFunction
@@ -72,32 +75,34 @@ class LoweringError(Exception):
 # -- lexer ------------------------------------------------------------------
 
 
-class Token(namedtuple("Token", "kind value pos")):
-    """kind is "num", "x", one of "+-*/^()", or "end"; value is a Fraction or None."""
-
-    __slots__ = ()
-
-
-# \d is any Unicode decimal digit, as Fraction accepts; "1." is malformed.
+# \d is any Unicode decimal digit, as int and Fraction accept; "1." is malformed.
 _TOKEN = re.compile(r"\d+(?:\.\d+|\.)?|\S")
 
 
-def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
+def tokenize(text: str) -> list[tuple]:
+    """The tokens of text as plain (kind, value, pos) tuples, ending in ("end", None, len(text)).
+
+    kind is "num", "x" or one of "+-*/^()".  A number's value is an int,
+    or a Fraction for a decimal literal (1.25 is 5/4); any other value
+    is None.  pos is the token's offset in text.
+    """
+    tokens: list[tuple] = []
+    append = tokens.append
     for m in _TOKEN.finditer(text):
-        lexeme, pos = m.group(), m.start()
-        if lexeme[0].isdecimal():
+        lexeme = m[0]
+        if lexeme in "x+-*/^()":
+            append((lexeme, None, m.start()))
+        elif lexeme.isdecimal():
+            append(("num", int(lexeme), m.start()))
+        elif lexeme[0].isdecimal():
             if lexeme[-1] == ".":
                 raise ParseError(m.end() - 1, "malformed decimal literal")
-            value = Fraction(lexeme) if "." in lexeme else Fraction(int(lexeme))
-            tokens.append(Token("num", value, pos))
-        elif lexeme in "x+-*/^()":
-            tokens.append(Token(lexeme, None, pos))
+            append(("num", Fraction(lexeme), m.start()))
         elif lexeme.isalpha():
-            raise ParseError(pos, f"unknown symbol {lexeme!r}; the only variable is x")
+            raise ParseError(m.start(), f"unknown symbol {lexeme!r}; the only variable is x")
         else:
-            raise ParseError(pos, f"unexpected character {lexeme!r}")
-    tokens.append(Token("end", None, len(text)))
+            raise ParseError(m.start(), f"unexpected character {lexeme!r}")
+    append(("end", None, len(text)))
     return tokens
 
 
@@ -107,16 +112,17 @@ def tokenize(text: str) -> list[Token]:
 _BINDS = {"(": 0, "+": 1, "-": 1, "*": 2, "/": 2, "neg": 3}
 
 
-def _postfix(tokens: list[Token]) -> list:
+def _postfix(tokens: list[tuple]) -> list:
     """Check the syntax and write the expression as postfix code.
 
-    In the code, a Fraction pushes a constant, "x" pushes x, an int k
-    raises the top value to the k-th power, "neg" negates it, and "+",
-    "-", "*" or "/" combines the top two.  While an operand is due, "-"
-    and "(" go on the operator stack as "neg" and "(", and a number or x
-    is written.  Once it is complete, an operator pops the entries that
-    bind at least as tightly, and a ")" or the end pops down to the
-    nearest "(".  depth counts the "(" and "neg" entries.
+    In the code, a pair (c, k) pushes the monomial c*x^k, a literal c
+    being (c, 0) and x being (1, 1), an int k raises the top value to the
+    k-th power, "neg" negates it, and "+", "-", "*" or "/" combines the
+    top two.  While an operand is due, "-" and "(" go on the operator
+    stack as "neg" and "(", and a number or x is written.  Once it is
+    complete, an operator pops the entries that bind at least as tightly,
+    and a ")" or the end pops down to the nearest "(".  depth counts the
+    "(" and "neg" entries.
     """
     code: list = []
     stack: list[str] = []
@@ -132,7 +138,7 @@ def _postfix(tokens: list[Token]) -> list:
             continue
         if kind != "num" and kind != "x":
             raise ParseError(pos, f"unexpected {_describe(kind)}")
-        code.append(value if kind == "num" else "x")
+        code.append((value, 0) if kind == "num" else _X)
         while True:  # an operand is complete, and each ")" completes one more
             kind, value, pos = tokens[i]
             if kind == "^":
@@ -184,14 +190,12 @@ def _degree_peak(code: list) -> int:
     stack: list[tuple[int, int]] = []
     peak = 0
     for op in code:
-        if op.__class__ is Fraction:
-            stack.append((0, 0))
+        kind = op.__class__
+        if kind is tuple:  # a literal (c, 0) or x, (1, 1)
+            n, d = op[1], 0
+        elif op == "neg":
             continue
-        if op == "neg":
-            continue
-        if op == "x":
-            n, d = 1, 0
-        elif op.__class__ is int:
+        elif kind is int:
             n, d = stack.pop()
             n, d = n * op, d * op
         else:
@@ -217,26 +221,30 @@ def _fold_constant(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polyno
 
 
 _ZERO = Fraction(0)
-_X = (Fraction(1), 1)  # x as the monomial (c, k) = (1, 1)
+_X = (1, 1)  # x as the monomial (c, k) = (1, 1)
+
+
+def _frac(c) -> Fraction:
+    """A monomial's coefficient, an int or a Fraction, as a Fraction."""
+    return c if c.__class__ is Fraction else Fraction(c)
 
 
 def _pair(value) -> tuple[Polynomial, Polynomial]:
-    """A stack value as (num, den): a monomial (c, k) becomes c*x^k over ONE."""
+    """A stack value as (num, den): a monomial or a sum's list becomes a Polynomial over ONE."""
     c, k = value
     if k.__class__ is int:
-        return Polynomial._trusted([_ZERO] * k + [c]), ONE
+        return Polynomial._trusted([_ZERO] * k + [_frac(c)]), ONE
+    if k is None:
+        return Polynomial._trusted(c), ONE
     return value
 
 
-def _add_term(p: Polynomial, c: Fraction, k: int) -> Polynomial:
-    """p + c*x^k: a copy of p's coefficients with one slot changed."""
-    out = list(p.coeffs)
-    if k < len(out):
-        out[k] = out[k] + c if out[k] else c
-    else:
-        out += [_ZERO] * (k - len(out))
-        out.append(c)
-    return Polynomial._trusted(out)
+def _add_term(cs: list[Fraction], c, k: int) -> list[Fraction]:
+    """cs + c*x^k, in place: cs belongs to one stack value alone."""
+    if k >= len(cs):
+        cs += [_ZERO] * (k + 1 - len(cs))
+    cs[k] = cs[k] + c if cs[k] else _frac(c)
+    return cs
 
 
 # (num, den, x_divisor), as parse returns it
@@ -244,63 +252,77 @@ Lowered = tuple[Polynomial, Polynomial, bool]
 
 
 def _fold(code: list) -> Lowered:
-    """Run the postfix code on two kinds of value: a monomial (c, k) and a quotient (num, den).
+    """Run the postfix code on three kinds of value, told apart by the class of their second entry.
 
-    The class of the second entry tells them apart.  Products, powers
-    and negations of monomials, quotients by a constant and sums of like
-    monomials stay monomials.  A sum of unlike ones makes (p, ONE), and
-    a monomial added to or taken from (p, ONE) changes one slot of a
-    copy of p's coefficients, so a dense sum runs no Python loop over
-    them.  Any other operation lowers its operands through _pair first.
-    num/den is unreduced, and den is ONE itself or has x in it, so a
-    polynomial folds to (p, ONE).  A power reduces its base first:
-    gcd(a, b) = 1 gives gcd(a**n, b**n) = 1.
+    A monomial is (c, k) with k an int.  Its c stays an int while only
+    integers have met, so ``x^k`` raises 1 to k on ints and ``c*x^k``
+    multiplies nothing: a product with a unit factor is the other
+    factor.  The first quotient of ints makes a Fraction, and a c that
+    leaves the fold becomes one.  Products, powers and negations of
+    monomials, quotients by a constant and sums of like monomials stay
+    monomials.  A sum of unlike ones, or a monomial added to (p, ONE),
+    makes (cs, None): a list of Fraction coefficients that belongs to
+    that value alone, so each further term changes one slot in place and
+    a dense sum copies no coefficients.  Anything else is a quotient
+    (num, den) of Polynomials, and any other operation lowers its
+    operands through _pair first.  num/den is unreduced, and den is ONE
+    itself or has x in it, so a polynomial folds to (p, ONE).  A power
+    reduces its base first: gcd(a, b) = 1 gives gcd(a**n, b**n) = 1.
     """
     stack: list = []
     x_divisor = False
     for op in code:
         kind = op.__class__
-        if kind is Fraction:
-            stack.append((op, 0))
-        elif op == "x":
-            stack.append(_X)
+        if kind is tuple:
+            stack.append(op)
         elif kind is int:
-            a, b = stack.pop()  # (c, k) or (num, den)
+            a, b = stack.pop()
             if b.__class__ is int:
                 stack.append((a**op, b * op))
-            elif b is ONE:
+                continue
+            a, b = _pair((a, b))
+            if b is ONE:
                 stack.append((a**op, ONE))
             else:
                 base = RationalFunction(a, b)
                 stack.append(_fold_constant(base.num**op, base.den**op))
         elif op == "neg":
             a, b = stack.pop()
-            stack.append((-a, b))
+            stack.append(([-c for c in a], None) if b is None else (-a, b))
         else:
             b, a = stack.pop(), stack.pop()
-            (c1, k1), (c2, k2) = a, b  # (c, k) of a monomial, (num, den) of a quotient
-            if op == "/" and not c2:  # b is 0*x^k, or its num is 0
-                raise LoweringError("division by zero")
-            if k1.__class__ is int and k2.__class__ is int:
-                if op == "*":
-                    stack.append((c1 * c2, k1 + k2))
-                    continue
-                if op == "/":
-                    if not k2:
-                        stack.append((c1 / c2, k1))
+            (c1, k1), (c2, k2) = a, b  # (c, k) of a monomial, (cs, None) or (num, den)
+            if k2.__class__ is int:  # b is the monomial c2*x^k2
+                if op == "+" or op == "-":
+                    if op == "-":
+                        c2 = -c2
+                    if k1 is None:
+                        stack.append((_add_term(c1, c2, k2), None))
                         continue
-                elif k1 == k2:
-                    stack.append((c1 + c2 if op == "+" else c1 - c2, k1))
-                    continue
-                else:  # a sum of unlike monomials
-                    c1, k1 = _pair(a)
-            if k1 is ONE and k2.__class__ is int and (op == "+" or op == "-"):
-                stack.append((_add_term(c1, c2 if op == "+" else -c2, k2), ONE))
-                continue
+                    if k1 is ONE:
+                        stack.append((_add_term(list(c1.coeffs), c2, k2), None))
+                        continue
+                    if k1.__class__ is int:
+                        if k1 == k2:
+                            stack.append((c1 + c2, k1))
+                        else:
+                            stack.append((_add_term(_add_term([], c1, k1), c2, k2), None))
+                        continue
+                elif k1.__class__ is int:
+                    if op == "*":
+                        stack.append((c1 if c2 == 1 else c2 if c1 == 1 else c1 * c2, k1 + k2))
+                        continue
+                    if not k2:  # a quotient by a constant
+                        if not c2:
+                            raise LoweringError("division by zero")
+                        stack.append((Fraction(c1, c2), k1))
+                        continue
             (n1, d1), (n2, d2) = _pair(a), _pair(b)
             if op == "*":
                 stack.append((n1 * n2, d1 * d2))
             elif op == "/":
+                if not n2:
+                    raise LoweringError("division by zero")
                 x_divisor = x_divisor or bool(n2.degree)
                 stack.append(_fold_constant(n1 * d2, d1 * n2))
             else:  # a/b +- c/d = (a*d +- c*b)/(b*d), or (a +- c)/b when b = d

@@ -280,6 +280,15 @@ class TestOutputFile:
         code, out = run_cli(capsys, "--output", str(target), "derive", "x^3")
         assert code == 2 and out.startswith("error: ")
 
+    def test_unwritable_output_writes_no_figure(self, capsys, tmp_path):
+        target, svg = tmp_path / "no" / "o.txt", tmp_path / "f.svg"
+        argv = ("plot", "x", "0", "--range=0,1", f"--out={svg}")
+        code, out = run_cli(capsys, "--json", "--output", str(target), *argv)
+        env = json.loads(out)
+        assert (code, env["status"], env["result"]) == (2, "error", None)
+        assert str(target) in env["error"]
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestExitCodes:
     def test_input_error(self, capsys):

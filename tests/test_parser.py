@@ -43,11 +43,13 @@ FAULTS = [
     ("x = 1", ParseError, "unexpected character '=' (at offset 2)"),
     ("3,5", ParseError, "unexpected character ',' (at offset 1)"),
     ("x·2", ParseError, "unexpected character '·' (at offset 1)"),
+    ("1_000x", ParseError, "unexpected character '_' (at offset 1)"),
     # unknown symbol
     ("y + 1", ParseError, "unknown symbol 'y'; the only variable is x (at offset 0)"),
     ("sin(x)", ParseError, "unknown symbol 's'; the only variable is x (at offset 0)"),
     ("X^2", ParseError, "unknown symbol 'X'; the only variable is x (at offset 0)"),
     ("2é", ParseError, "unknown symbol 'é'; the only variable is x (at offset 1)"),
+    ("1.5e3x", ParseError, "unknown symbol 'e'; the only variable is x (at offset 3)"),
     # malformed decimal literal
     ("1.", ParseError, "malformed decimal literal (at offset 1)"),
     ("1.x", ParseError, "malformed decimal literal (at offset 1)"),
@@ -92,6 +94,8 @@ FAULTS = [
     ("x^1025", ParseError, "exponent exceeds the limit of 1024 (at offset 2)"),
     ("2^99999999", ParseError, "exponent exceeds the limit of 1024 (at offset 2)"),
     ("(x+1)^2000", ParseError, "exponent exceeds the limit of 1024 (at offset 6)"),
+    ("x^0001025", ParseError, "exponent exceeds the limit of 1024 (at offset 2)"),
+    ("x^١٠٢٥", ParseError, "exponent exceeds the limit of 1024 (at offset 2)"),
     # a degree over MAX_DEGREE
     ("x*(x+1)^1024", LoweringError, "degree of the result exceeds the limit of 1024"),
     ("((x+1)^8)^300", LoweringError, "degree of the result exceeds the limit of 1024"),
@@ -185,6 +189,24 @@ class TestParse:
         assert lower_poly(parse("1.25")) == Polynomial([Fraction(5, 4)])
         assert lower_poly(parse("2.50")) == Polynomial([Fraction(5, 2)])
 
+    @pytest.mark.parametrize(
+        "text,value",
+        [
+            ("١٢x", 12 * X),  # Arabic-Indic digits, as int and Fraction read them
+            ("x^١٢", X**12),
+            ("٣.٥", Polynomial([Fraction(7, 2)])),
+            ("00012x", 12 * X),
+            ("x^01", X),
+            ("x^0001024", X**1024),
+            ("x^2.0", X**2),  # an integer-valued decimal exponent
+            ("(3/4)^2.00x", Fraction(9, 16) * X),
+        ],
+    )
+    def test_literal_forms(self, text, value):
+        num, den, x_divisor = parse(text)
+        assert_well_formed(num)
+        assert (num, den, x_divisor) == (value, ONE, False)
+
 
     @given(juxtaposed)
     @example("(x^2 - 1)/(x - 1)")
@@ -194,17 +216,19 @@ class TestParse:
             lowered = parse(text)
         except (ParseError, LoweringError):
             return
+        num, den, x_divisor = lowered
+        assert_well_formed(num)
+        assert_well_formed(den)
         r = lower_ratfun(lowered)
         for x in (Fraction(0), Fraction(1), Fraction(-3, 2), Fraction(7, 5)):
-            den = r.den(x)
+            at_x = r.den(x)
             try:
                 expected = python_value(text, x)
             except ZeroDivisionError:
                 continue
-            if den:
-                assert r.num(x) / den == expected
+            if at_x:
+                assert r.num(x) / at_x == expected
         if "x" not in text:
-            num, den, x_divisor = lowered
             assert num == Polynomial((python_value(text, None),))
             assert den is ONE and x_divisor is False
 
@@ -393,6 +417,15 @@ class TestMonomialFold:
             ("0*x^7", []),
             ("(x^2 + x + 1) - x^2 + 5x^3", [(1, 1), (1, 0), (5, 3)]),
             ("4 + (x + 1)^2", [(5, 0), (2, 1), (1, 2)]),
+            # unit factors, int literals and int quotients: every coefficient leaves as a Fraction
+            ("1*x", [(1, 1)]),
+            ("x*1", [(1, 1)]),
+            ("1x^3", [(1, 3)]),
+            ("(1)^7x", [(1, 1)]),
+            ("2.0x", [(2, 1)]),
+            ("3*x^0", [(3, 0)]),
+            ("(1/2)*2x", [(1, 1)]),
+            ("(4/2)x", [(2, 1)]),
         ],
     )
     def test_known_sums(self, text, pairs):

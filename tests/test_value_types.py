@@ -6,14 +6,12 @@ import pytest
 
 from polytangent.decomposition import Decomposition, QuotientRow
 from polytangent.dual import Dual, ElementaryFn
-from polytangent.parser import Token
 from polytangent.polynomial import LinearFunction, Polynomial, RationalFunction, X
 from polytangent.rules import RuleReport
 from polytangent.tangency import TangentLine
 
 # (type, field values in declaration order, as the instance stores them)
 VALUES = [
-    (Token, {"kind": "num", "value": Fraction(1, 2), "pos": 3}),
     (LinearFunction, {"slope": Fraction(2), "intercept": Fraction(-9, 4)}),
     (TangentLine, {"point": Fraction(3), "slope": Fraction(6), "intercept": Fraction(-9),
                    "cofactor": Polynomial([1])}),
