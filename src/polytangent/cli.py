@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from collections import namedtuple
@@ -223,9 +224,12 @@ def _cmd_rules(args):
             )
             lines.append(f"  {name:>8}: input error: {exc}")
             continue
-        lhs, rhs = str(rep.lhs), str(rep.rhs)
-        reports.append({"rule": name, "lhs": lhs, "rhs": rhs, "holds": rep.holds})
-        word = "holds" if rep.holds else "FAILS"
+        # Equal canonical forms render alike, so only a failing rule renders its rhs.
+        holds = rep.holds
+        lhs = str(rep.lhs)
+        rhs = lhs if holds else str(rep.rhs)
+        reports.append({"rule": name, "lhs": lhs, "rhs": rhs, "holds": holds})
+        word = "holds" if holds else "FAILS"
         lines.append(f"  {name:>8}: {word}  {lhs} == {rhs}")
     return {"f": f_text, "g": g_text}, {"reports": reports}, lines
 
@@ -386,11 +390,16 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         if args.output:
-            # An --output that cannot be opened is found before the command
-            # runs, so that run writes no figure.  "a" leaves the file as it is.
+            # An --output that cannot be opened, or that is plot's own --out
+            # file, is found before the command runs, so that run writes no
+            # figure.  "a" leaves the file as it is.
             try:
+                if args.command == "plot" and (
+                    os.path.realpath(args.output) == os.path.realpath(args.out)
+                ):
+                    raise ValueError(f"--output and --out name the same file: {args.output}")
                 open(args.output, "a", encoding="utf-8").close()
-            except OSError as exc:
+            except (OSError, ValueError) as exc:
                 sys.stdout.write(_payload(args, str(exc)))
                 return 2
         try:

@@ -8,14 +8,18 @@ silently use a bogus -1.  Coefficients are validated once, at the public
 constructor; ring operations trust the ``Fraction``s they compute.
 
 Arithmetic is exact schoolbook arithmetic that skips structural zeros:
-a product with a monomial ``c*x^j`` is a shift and a scale, so a
-dual-Horner derivative step is two shifts and an add, and a sum adds no
-zero coefficient.  A power makes no product: Miller's recurrence runs on
-the integer numerators over one common denominator and skips the zero
-coefficients of the base, so ``(c*x^j)^e`` takes no step and a two-term
-base O(e) steps.  A composition f(g) makes no ``Fraction`` until its
-end: Horner runs on the integer numerators of f and g, each over its
-common denominator, and one division per coefficient builds the result.
+a product with the module's ``X``, matched by identity, is a shift by
+one place, so a dual-Horner derivative step is two shifts and an add; a
+product with any other monomial ``c*x^j`` is a shift and a scale; a
+square is a power; the schoolbook loop multiplies by no zero coefficient
+and no coefficient 1, and stores the first term to reach a slot rather
+than adding it to a zero; and a sum adds no zero coefficient.  A power
+makes no product: Miller's recurrence runs on the integer numerators
+over one common denominator and skips the zero coefficients of the
+base, so ``(c*x^j)^e`` takes no step and a two-term base O(e) steps.
+A composition f(g) makes no ``Fraction`` until its end: Horner runs on
+the integer numerators of f and g, each over its common denominator,
+and one division per coefficient builds the result.
 Division and the gcd run on the same integer numerators: a division is
 Knuth's pseudo-division, and a gcd that the test mod 2^61 - 1 does not
 settle is a primitive remainder sequence, each building its
@@ -34,6 +38,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .rational import exact
+
+_ZERO_COEFF = Fraction(0)  # shared by the zero slots of products: a Fraction is immutable
 
 
 class Polynomial:
@@ -121,12 +127,21 @@ class Polynomial:
         return other + (-self)
 
     def __mul__(self, other) -> "Polynomial":
-        # A monomial c*x^j on either side (of two, the shorter; a scalar is
-        # j = 0) shifts the other operand by j and scales it by c unless c is
-        # 1, so a factor 1 returns the other operand itself (it is immutable).
+        # Cheapest case first.  ONE and X are matched by identity, before any
+        # scan: a factor 1 returns the other operand itself (it is immutable),
+        # and a factor x shifts it by one place, as each dual-Horner
+        # derivative step does twice.  A monomial c*x^j on either side (of
+        # two, the shorter; a scalar is j = 0) shifts the other operand by j
+        # and scales it by c unless c is 1.  A square is self**2, Miller's
+        # recurrence on integer content.  The schoolbook loop skips zero
+        # coefficients, multiplies by no coefficient 1, and stores the first
+        # term to reach a slot rather than adding it to a zero.
         if isinstance(other, Polynomial):
-            if self is ONE or other is ONE:  # the identity, before any scan
+            if self is ONE or other is ONE:
                 return other if self is ONE else self
+            if self is X or other is X:
+                a = other.coeffs if self is X else self.coeffs
+                return Polynomial._trusted([_ZERO_COEFF, *a]) if a else ZERO
             b = other.coeffs
         elif isinstance(other, (int, Fraction)):
             if not other:
@@ -144,12 +159,18 @@ class Polynomial:
             out = list(b[:-1])  # the j zeros
             out += a if c == 1 else [x * c if x else x for x in a]
             return Polynomial._trusted(out)
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        if self is other:
+            return self**2
+        terms = [(j, y, y == 1) for j, y in enumerate(b) if y]
+        out = [None] * (len(a) + len(b) - 1)  # None: no term has reached the slot
         for i, x in enumerate(a):
             if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return Polynomial._trusted(out)
+                unit = x == 1
+                for j, y, y_unit in terms:
+                    t = y if unit else x if y_unit else x * y
+                    s = out[i + j]
+                    out[i + j] = t if s is None else s + t
+        return Polynomial._trusted([_ZERO_COEFF if c is None else c for c in out])
 
     __rmul__ = __mul__
 

@@ -15,7 +15,8 @@ import polytangent
 from polytangent import cli, tangency
 from polytangent.decomposition import MAX_STEPS
 from polytangent.parser import MAX_DEGREE, MAX_DEPTH, MAX_EXPONENT
-from polytangent.polynomial import Polynomial, X
+from polytangent.polynomial import Polynomial, RationalFunction, X
+from polytangent.rules import RuleReport
 from polytangent.tangency import CertificateError, tangent_at
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -227,6 +228,32 @@ class TestCommands:
         for rule in ("sum", "product", "chain"):
             assert reports[rule]["holds"] is True
 
+    @pytest.mark.parametrize("mode", [(), ("--json",)], ids=["text", "json"])
+    def test_rules_renders_each_holding_report_once(self, capsys, monkeypatch, mode):
+        """A rule that holds has equal canonical sides, so its rhs is its lhs's text."""
+        calls = []
+        to_str = RationalFunction.__str__
+
+        def counted(self):
+            calls.append(self)
+            return to_str(self)
+
+        monkeypatch.setattr(RationalFunction, "__str__", counted)
+        code, out = run_cli(capsys, *mode, "rules", "x^2 + 1", "x - 2")
+        assert code == 0 and "FAILS" not in out
+        assert len(calls) == len(cli.VERIFIERS)
+
+    def test_rules_failing_report_prints_both_sides(self, capsys, monkeypatch):
+        def unequal(f, g, df, dg):
+            return RuleReport("sum", RationalFunction(X), RationalFunction(X + 1))
+
+        monkeypatch.setitem(cli.VERIFIERS, "sum", unequal)
+        _, out = run_cli(capsys, "rules", "x^2", "x")
+        assert "     sum: FAILS  x == x + 1\n" in out
+        _, out = run_cli(capsys, "--json", "rules", "x^2", "x")
+        report = json.loads(out)["result"]["reports"][0]
+        assert report == {"rule": "sum", "lhs": "x", "rhs": "x + 1", "holds": False}
+
     def test_rules_trivial(self, capsys):
         _, out = run_cli(capsys, "--json", "rules", "1", "1")
         assert all(r["holds"] for r in json.loads(out)["result"]["reports"])
@@ -288,6 +315,26 @@ class TestOutputFile:
         assert (code, env["status"], env["result"]) == (2, "error", None)
         assert str(target) in env["error"]
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("before", [None, "kept\n"], ids=["absent", "present"])
+    @pytest.mark.parametrize("output,out", [("f.svg", "f.svg"), ("./f.svg", "f.svg"),
+                                            ("f.svg", "sub/../f.svg")])
+    def test_output_naming_the_plot_file_is_refused(
+        self, capsys, tmp_path, monkeypatch, before, output, out
+    ):
+        """--output and --out on one file would leave the envelope where the SVG was."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        target = tmp_path / "f.svg"
+        if before is not None:
+            target.write_text(before)
+        argv = ("plot", "x", "0", "--range=0,1", f"--out={out}")
+        code, text = run_cli(capsys, "--output", output, *argv)
+        assert code == 2 and text == f"error: --output and --out name the same file: {output}\n"
+        code, text = run_cli(capsys, "--json", "--output", output, *argv)
+        env = json.loads(text)
+        assert (code, env["status"], env["result"]) == (2, "error", None)
+        assert (target.read_text() if target.exists() else None) == before
 
 
 class TestExitCodes:

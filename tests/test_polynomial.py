@@ -208,6 +208,94 @@ class TestMonomialShift:
         assert f * 0 == ZERO and 0 * f == ZERO and f * Fraction(0) == ZERO
 
 
+# Coefficients that are often 0, 1 or -1: monic operands, unit factors and gaps.
+unit_coeffs = st.sampled_from([0, 1, -1]) | coeffs
+unit_polys = st.builds(Polynomial, st.lists(unit_coeffs, max_size=9))
+
+
+class TestGeneralProduct:
+    """Squares, products by x and the schoolbook loop, against ``convolve``, each well formed."""
+
+    @given(st.one_of(sparse_polys, mixed_polys, gapped_polys, unit_polys))
+    def test_square_is_the_power(self, p):
+        square = p * p
+        assert_well_formed(square)
+        assert square.coeffs == (p**2).coeffs == convolve(p.coeffs, p.coeffs)
+
+    @pytest.mark.parametrize("p", [
+        from_terms({2: 3, 3: Fraction(-1, 2), 5: 7}),  # x^2 factored out: a zero constant term
+        from_terms({1: Fraction(2, 3), 4: 1}),
+        Polynomial((0, 0, 0, 1, 1)),
+    ])
+    def test_square_with_a_low_order_zero(self, p):
+        square = p * p
+        assert_well_formed(square)
+        assert square.coeffs == convolve(p.coeffs, p.coeffs)
+        v = next(i for i, c in enumerate(p.coeffs) if c)
+        assert square.coeffs[:2 * v] == (0,) * (2 * v) and square.coeffs[2 * v]
+
+    @pytest.mark.parametrize("p", [ZERO, ONE, Polynomial((-1,)), Polynomial((Fraction(3, 7),)),
+                                   X, X - 1, Polynomial((0, 0, Fraction(-2, 5)))])
+    def test_x_shifts_by_one_place(self, p):
+        for product in (X * p, p * X):
+            assert_well_formed(product)
+            assert product.coeffs == convolve(X.coeffs, p.coeffs)
+
+    @given(st.one_of(sparse_polys, mixed_polys, unit_polys))
+    def test_x_shift_matches_the_oracle(self, p):
+        for product in (X * p, p * X):
+            assert_well_formed(product)
+            assert product.coeffs == convolve(X.coeffs, p.coeffs)
+
+    @pytest.mark.parametrize("f,g", [
+        (X**2 + 1, X**2 - 1),  # x^4 - 1: x and x^3 are never reached
+        (X**3, X**5 + 1),
+        (X**5 + 1, X**3 + X),
+        (from_terms({0: 2, 6: Fraction(1, 3)}), from_terms({1: 5, 4: -1})),
+    ])
+    def test_sparse_operands_leave_slots_empty(self, f, g):
+        for product in (f * g, g * f):
+            assert_well_formed(product)
+            assert product.coeffs == convolve(f.coeffs, g.coeffs)
+
+    @given(st.one_of(gapped_polys, unit_polys, sparse_polys), st.one_of(gapped_polys, unit_polys))
+    def test_sparse_and_unit_products(self, f, g):
+        for product in (f * g, g * f):
+            assert_well_formed(product)
+            assert product.coeffs == convolve(f.coeffs, g.coeffs)
+
+    def test_monic_and_unit_coefficients(self):
+        f = Polynomial((Fraction(2, 3), -1, 1))  # monic
+        g = Polynomial((1, Fraction(-5, 2), 1, 1))
+        for product in (f * g, g * f, f * f):
+            assert_well_formed(product)
+        assert (f * g).coeffs == convolve(f.coeffs, g.coeffs)
+
+    def test_no_multiplication_by_a_unit_coefficient(self):
+        class Unit(Fraction):
+            def __mul__(self, other):
+                raise AssertionError("a coefficient was multiplied by 1")
+
+            __rmul__ = __mul__
+
+        f = Polynomial._trusted([Fraction(2), Fraction(-3), Unit(1)])
+        g = Polynomial._trusted([Unit(1), Fraction(1, 2), Fraction(5)])
+        plain_f, plain_g = Polynomial((2, -3, 1)), Polynomial((1, Fraction(1, 2), 5))
+        assert (f * g).coeffs == (g * f).coeffs == convolve(plain_f.coeffs, plain_g.coeffs)
+
+    @pytest.mark.parametrize("f,g", [
+        (X**2 + X + 1, X - 1),  # x^3 - 1: the x and x^2 terms cancel
+        (X**4 + X**3 + X**2 + X + 1, 1 - X),
+        (X**2 + Fraction(1, 2) * X + Fraction(1, 4), 2 * X - 1),
+    ])
+    def test_terms_that_cancel(self, f, g):
+        product = f * g
+        assert_well_formed(product)
+        assert product.coeffs == convolve(f.coeffs, g.coeffs)
+        assert sum(1 for c in product.coeffs if c) == 2
+        assert product.degree == f.degree + g.degree
+
+
 class TestRingOperations:
     def test_add_cancellation_renormalizes(self):
         assert (X**2 + 1) + (-(X**2) + X) == X + 1
