@@ -13,17 +13,14 @@ from .decomposition import (
     Decomposition,
     QuotientRow,
     decompose,
-    differential,
     increment,
     quotient_table,
     remainder_valuation,
-    secant_slope,
 )
 from .dual import (
     ELEMENTARY_TAGS,
     DomainError,
     Dual,
-    ElementaryFn,
     eval_elementary,
     eval_poly,
 )

@@ -21,7 +21,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .decomposition import decompose, quotient_table, remainder_valuation
-from .dual import Dual, ElementaryFn, eval_elementary, eval_poly
+from .dual import ELEMENTARY_TAGS, Dual, eval_elementary, eval_poly
 from .parser import (
     MAX_DEGREE, MAX_EXPONENT, LoweringError, ParseError, lower_poly, lower_ratfun, parse
 )
@@ -38,8 +38,6 @@ from .tangency import (
     tangent_at,
     taylor_shift,
 )
-
-_DUAL_TAGS = ("exp", "log", "sin", "cos", "tan")  # pow_const is API-only
 
 # Raised by a handler on bad input: exit 2.  OverflowError comes from
 # float conversions, such as exp of a large argument or a huge plot range,
@@ -237,9 +235,9 @@ def _cmd_rules(args):
 def _cmd_dual(args):
     a = _scalar(args.a)
     b = _scalar(args.b)
-    if args.fn in _DUAL_TAGS:
+    if args.fn in ELEMENTARY_TAGS:
         fn = args.fn
-        out = eval_elementary(ElementaryFn(fn), Dual(float(a), float(b)))
+        out = eval_elementary(fn, Dual(float(a), float(b)))
         result = {"kind": "elementary", "real": out.real, "eps": out.eps}
     else:
         f = _poly(args.fn)

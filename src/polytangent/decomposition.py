@@ -1,4 +1,4 @@
-"""Increments, secant slopes, differentials, and exact linear decomposition.
+"""Increments, exact linear decomposition, and difference-quotient tables.
 
 For a polynomial f and a base point x0, the increment decomposes
 exactly as
@@ -12,9 +12,9 @@ has degree >= 2.  That valuation bound is the exact-algebra form of
     (f(x0 + dx) - f(x0)) / dx = f'(x0) + R(dx)/dx
 
 with the gap R(dx)/dx an exact rational that shrinks with dx.  The
-quotient table below tabulates that identity row by row, so the
-classical limiting behaviour of the difference quotient is exhibited as
-bookkeeping on an already-constructed derivative, not as a definition.
+quotient table below tabulates that identity row by row, its secant
+slopes dy/h included, so the classical limiting behaviour of the
+difference quotient is bookkeeping on an already-constructed derivative.
 """
 
 from __future__ import annotations
@@ -50,19 +50,6 @@ def increment(f: Polynomial, x0, dx) -> Fraction:
     x0 = exact(x0)
     dx = exact(dx)
     return f(x0 + dx) - f(x0)
-
-
-def secant_slope(f: Polynomial, x0, dx) -> Fraction:
-    """The exact difference quotient (f(x0 + dx) - f(x0)) / dx."""
-    dx = exact(dx)
-    if not dx:
-        raise ZeroDivisionError("secant slope needs a nonzero increment")
-    return increment(f, x0, dx) / dx
-
-
-def differential(f: Polynomial, x0, dx) -> Fraction:
-    """The linear part of the increment: f'(x0) * dx, with f'(x0) from one dual pass."""
-    return eval_poly(f, Dual(exact(x0), Fraction(1))).eps * exact(dx)
 
 
 def decompose(f: Polynomial, x0) -> Decomposition:

@@ -3,7 +3,7 @@
 The components live in any commutative ring that supports ``+`` and
 ``*`` (exact rationals, polynomials, binary floats), so one
 implementation serves numeric slope extraction, symbolic derivative
-generation, and the float extension to elementary functions.
+generation, and the float extension to exp, log, sin, cos and tan.
 """
 
 from __future__ import annotations
@@ -33,17 +33,6 @@ class Dual(namedtuple("Dual", "real eps")):
 
     __radd__ = __add__
 
-    def __neg__(self) -> "Dual":
-        return Dual(-self.real, -self.eps)
-
-    def __sub__(self, other) -> "Dual":
-        if isinstance(other, Dual):
-            return Dual(self.real - other.real, self.eps - other.eps)
-        return Dual(self.real - other, self.eps)
-
-    def __rsub__(self, other) -> "Dual":
-        return Dual(other - self.real, -self.eps)
-
     def __mul__(self, other) -> "Dual":
         if isinstance(other, Dual):
             return Dual(
@@ -64,34 +53,16 @@ def eval_poly(f: "Polynomial", x: Dual) -> Dual:
     return f(x)
 
 
-ELEMENTARY_TAGS = ("exp", "log", "sin", "cos", "tan", "pow_const")
+ELEMENTARY_TAGS = ("exp", "log", "sin", "cos", "tan")
 
 # Pole cutoff for tan: floats cannot hit cos(a) = 0 exactly, so reject
 # anything within 1e-12 of it instead of overflowing silently.
 TAN_POLE_CUTOFF = 1e-12
 
 
-class ElementaryFn(namedtuple("ElementaryFn", "tag parameter")):
-    """One of the supported elementary functions, by tag.
-
-    ``pow_const`` carries its constant exponent in ``parameter``; the
-    other tags ignore it.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, tag: str, parameter: float | None = None):
-        if tag not in ELEMENTARY_TAGS:
-            raise ValueError(f"unknown elementary function tag {tag!r}")
-        if tag == "pow_const" and parameter is None:
-            raise ValueError("pow_const needs an exponent parameter")
-        return super().__new__(cls, tag, parameter)
-
-
-def eval_elementary(fn: ElementaryFn, x: Dual) -> Dual:
-    """Evaluate fn at a float dual: (fn(a), fn'(a)*b) for x = a + b*eps."""
+def eval_elementary(tag: str, x: Dual) -> Dual:
+    """Evaluate the function named by tag at a float dual: (fn(a), fn'(a)*b) for x = a + b*eps."""
     a, b = x.real, x.eps
-    tag = fn.tag
     if tag == "exp":
         value = math.exp(a)
         return Dual(value, value * b)
@@ -108,12 +79,4 @@ def eval_elementary(fn: ElementaryFn, x: Dual) -> Dual:
         if abs(c) <= TAN_POLE_CUTOFF:
             raise DomainError(f"tan pole: cos({a}) vanishes to within {TAN_POLE_CUTOFF}")
         return Dual(math.tan(a), b / (c * c))
-    # pow_const: x**c with constant exponent c
-    c = float(fn.parameter)
-    if c == 0:
-        return Dual(1.0, 0.0)
-    if a < 0 and not c.is_integer():
-        raise DomainError(f"negative base {a} with non-integer exponent {c}")
-    if a == 0 and c < 1:
-        raise DomainError(f"slope of x**{c} is unbounded at 0")
-    return Dual(math.pow(a, c), c * math.pow(a, c - 1) * b)
+    raise ValueError(f"unknown elementary function tag {tag!r}")

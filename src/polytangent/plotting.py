@@ -10,6 +10,7 @@ pure function of the inputs.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .decomposition import increment
@@ -131,8 +132,8 @@ def render_figure(
 
     plot_w = width - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = height - MARGIN_TOP - MARGIN_BOTTOM
-    sx = plot_w / (float(hi) - float(lo))
-    sy = plot_h / (y_hi - y_lo)
+    x_span, y_span = float(hi) - float(lo), y_hi - y_lo
+    sx, sy = plot_w / (x_span or math.nan), plot_h / (y_span or math.nan)
     tx = MARGIN_LEFT - sx * float(lo)
     ty = MARGIN_TOP + sy * y_hi
 
@@ -173,6 +174,15 @@ def render_figure(
             ("Δy", px(bx) + 8, (py(ay) + py(by)) / 2, ANNOTATION_COLOR),
             ("dy", px(bx) - 26, (py(ay) + py(dyl_y)) / 2, DIFFERENTIAL_COLOR),
         ]
+
+    # Data coordinates are finite (a float conversion that overflows raises);
+    # the transform and the marked points' pixel positions must be too.
+    pixels = [c for _, lx, ly, _ in label_points for c in (lx, ly)]
+    if not all(map(math.isfinite, (x_span, y_span, sx, sy, tx, ty, *pixels))):
+        raise ValueError(
+            f"plot range {lo},{hi} has no finite SVG geometry for p = {p}: x span {x_span!r}, "
+            f"y span {y_span!r}, scale ({sx!r}, {sy!r}), offset ({tx!r}, {ty!r})"
+        )
 
     labels = [
         f'<circle cx="{_fmt(px(mx))}" cy="{_fmt(py(my))}" r="4" fill="{color}"/>'

@@ -447,9 +447,6 @@ class LinearFunction(namedtuple("LinearFunction", "slope intercept")):
     def as_polynomial(self) -> Polynomial:
         return Polynomial((self.intercept, self.slope))
 
-    def __call__(self, x: Fraction) -> Fraction:
-        return self.slope * x + self.intercept
-
     def equation(self) -> str:
         return f"y = {self.as_polynomial()}"
 

@@ -14,6 +14,7 @@ import pytest
 import polytangent
 from polytangent import cli, tangency
 from polytangent.decomposition import MAX_STEPS
+from polytangent.dual import ELEMENTARY_TAGS
 from polytangent.parser import MAX_DEGREE, MAX_DEPTH, MAX_EXPONENT
 from polytangent.polynomial import Polynomial, RationalFunction, X
 from polytangent.rules import RuleReport
@@ -262,6 +263,13 @@ class TestCommands:
         _, out = run_cli(capsys, "--json", "dual", "sin", "0", "1")
         r = json.loads(out)["result"]
         assert (r["real"], r["eps"]) == (0.0, 1.0)
+
+    @pytest.mark.parametrize("tag", ELEMENTARY_TAGS)
+    def test_dual_serves_every_elementary_tag(self, capsys, tag):
+        code, out = run_cli(capsys, "--json", "dual", tag, "1/2", "1")
+        r = json.loads(out)["result"]
+        assert code == 0
+        assert (r["kind"], type(r["eps"])) == ("elementary", float)
 
     def test_dual_polynomial(self, capsys):
         _, out = run_cli(capsys, "--json", "dual", "x^3", "2", "1")
@@ -654,6 +662,28 @@ class TestPlot:
             capsys, "plot", "x^2", "3", "--range", "1,1", "--out", str(tmp_path / "x.svg")
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "expr, p, span",
+        [
+            ("x^2/10^300", "0", "-1e-5,1e-5"),  # the y span is subnormal: an infinite y scale
+            ("10^300*x", "0", "-1e8,1e8"),  # the y span overflows
+            ("x^2", "0", "-1e-320,1e-320"),  # the x span is subnormal: an infinite x scale
+            ("x^2", "0", "1e-400,2e-400"),  # both ends round to 0.0: no x span
+            ("x", "1e300", "0,1e-300"),  # the marked point lies at an infinite pixel position
+        ],
+    )
+    def test_range_without_finite_geometry_is_an_input_error(
+        self, capsys, tmp_path, expr, p, span
+    ):
+        out_svg = tmp_path / "x.svg"
+        code, out = run_cli(
+            capsys, "--json", "plot", expr, p, f"--range={span}", "--out", str(out_svg)
+        )
+        lo, hi = (Fraction(end) for end in span.split(","))
+        assert code == 2
+        assert json.loads(out)["error"].startswith(f"plot range {lo},{hi} has no finite")
+        assert not out_svg.exists()
 
     def test_zero_dx_is_an_input_error(self, capsys, tmp_path):
         code, _ = run_cli(

@@ -1,4 +1,4 @@
-"""Increments, secants, differentials, and the exact linear decomposition."""
+"""Increments, the exact linear decomposition, and difference-quotient tables."""
 
 import random
 from fractions import Fraction
@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 from polytangent.decomposition import (
     MAX_STEPS,
     decompose,
-    differential,
     increment,
     quotient_table,
     remainder_valuation,
-    secant_slope,
 )
 from polytangent.polynomial import Polynomial, X, ZERO
 from polytangent.tangency import INFINITE, derivative, tangent_at
@@ -29,23 +27,6 @@ class TestIncrement:
         assert increment(X**2, 3, 1) == 7
         assert increment(X**5 - X, 2, 0) == 0
         assert increment(X**2, 3, Fraction(1, 10)) == Fraction(61, 100)
-
-
-class TestSecantSlope:
-    def test_examples(self):
-        assert secant_slope(X**2, 3, Fraction(1, 10)) == Fraction(61, 10)
-        assert secant_slope(5 * X - 2, 11, Fraction(3, 7)) == 5
-
-    def test_zero_increment_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            secant_slope(X**2, 3, 0)
-
-
-class TestDifferential:
-    def test_examples(self):
-        assert differential(X**2, 3, Fraction(1, 10)) == Fraction(3, 5)
-        assert differential(X**4 + X, 5, 0) == 0
-        assert differential(X**3, 1, 2) == 6
 
 
 class TestDecompose:
@@ -84,7 +65,6 @@ class TestDecompose:
     def test_increment_equals_linear_part_plus_remainder(self, f, x0, dx):
         d = decompose(f, x0)
         assert increment(f, x0, dx) == d.slope * dx + d.remainder(dx)
-        assert increment(f, x0, dx) - differential(f, x0, dx) == d.remainder(dx)
 
     @given(polys, points)
     def test_slope_agreement_across_modules(self, f, x0):

@@ -7,13 +7,12 @@ from types import ModuleType
 # Every public name the package imports from its modules.
 PUBLIC = {
     "CertificateError", "Decomposition", "DomainError", "Dual", "ELEMENTARY_TAGS",
-    "ElementaryFn", "INFINITE", "LinearFunction", "LoweringError", "ONE", "ParseError",
-    "Polynomial", "QuotientRow", "RationalFunction", "RuleReport", "TangentLine", "X", "ZERO",
-    "decompose", "derivative", "differential", "eval_elementary", "eval_poly", "increment",
-    "intersection_multiplicity", "is_tangent", "lower_poly", "lower_ratfun", "parse",
-    "polynomial_gcd", "quotient_table", "ratfun_derivative", "remainder_valuation",
-    "secant_slope", "tangent_at", "taylor_shift", "to_decimal", "verify_chain",
-    "verify_product", "verify_quotient", "verify_sum",
+    "INFINITE", "LinearFunction", "LoweringError", "ONE", "ParseError", "Polynomial",
+    "QuotientRow", "RationalFunction", "RuleReport", "TangentLine", "X", "ZERO", "decompose",
+    "derivative", "eval_elementary", "eval_poly", "increment", "intersection_multiplicity",
+    "is_tangent", "lower_poly", "lower_ratfun", "parse", "polynomial_gcd", "quotient_table",
+    "ratfun_derivative", "remainder_valuation", "tangent_at", "taylor_shift", "to_decimal",
+    "verify_chain", "verify_product", "verify_quotient", "verify_sum",
 }
 
 

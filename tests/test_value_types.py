@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from polytangent.decomposition import Decomposition, QuotientRow
-from polytangent.dual import Dual, ElementaryFn
+from polytangent.dual import Dual
 from polytangent.polynomial import LinearFunction, Polynomial, RationalFunction, X
 from polytangent.rules import RuleReport
 from polytangent.tangency import TangentLine
@@ -19,7 +19,6 @@ VALUES = [
                      "remainder": X**2}),
     (QuotientRow, {"h": Fraction(1, 10), "dy": Fraction(61, 100), "quotient": Fraction(61, 10),
                    "gap": Fraction(1, 10)}),
-    (ElementaryFn, {"tag": "pow_const", "parameter": 0.5}),
     (Dual, {"real": Fraction(1, 2), "eps": Fraction(-3)}),
     (RuleReport, {"rule": "sum", "lhs": RationalFunction(2 * X), "rhs": RationalFunction(2 * X)}),
 ]
@@ -57,8 +56,3 @@ class TestLinearFunction:
         line = LinearFunction(1, "1/2")
         assert line.intercept == Fraction(1, 2)
         assert type(line.slope) is Fraction and type(line.intercept) is Fraction
-
-
-def test_elementary_fn_defaults_to_no_parameter():
-    assert ElementaryFn("exp") == ElementaryFn("exp", None)
-    assert ElementaryFn("exp").parameter is None
