@@ -35,7 +35,6 @@ from .polynomial import (
     ONE,
     X,
     ZERO,
-    LinearFunction,
     Polynomial,
     RationalFunction,
     polynomial_gcd,

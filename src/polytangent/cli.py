@@ -26,7 +26,7 @@ from .parser import (
     MAX_DEGREE, MAX_EXPONENT, LoweringError, ParseError, lower_poly, lower_ratfun, parse
 )
 from .plotting import render_figure
-from .polynomial import LinearFunction, Polynomial, X, render_terms
+from .polynomial import Polynomial, X, render_terms
 from .rational import to_decimal
 from .rules import VERIFIERS
 from .tangency import (
@@ -79,8 +79,8 @@ def _cmd_tangent(args):
     p = _scalar(args.p)
     t = tangent_at(f, p)
     expr, point, slope, intercept = str(f), str(p), str(t.slope), str(t.intercept)
-    cofactor, equation = str(t.cofactor), t.equation()
-    difference = str(f - t.line.as_polynomial())
+    line = Polynomial((t.intercept, t.slope))
+    cofactor, equation, difference = str(t.cofactor), f"y = {line}", str(f - line)
     factored = f"({X - p})^2 * ({cofactor})"
     result = {
         "point": point,
@@ -116,13 +116,13 @@ def _cmd_derive(args):
 
 def _cmd_check(args):
     f = _poly(args.expr)
-    line = LinearFunction(_scalar(args.k), _scalar(args.b))
-    p = _scalar(args.p)
+    k, b, p = _scalar(args.k), _scalar(args.b), _scalar(args.p)
+    line = Polynomial((b, k))
     m = intersection_multiplicity(f, line, p)
     tangent = m >= 2
     multiplicity = _finite_or_marker(m)
-    expr, point, equation = str(f), str(p), line.equation()
-    inputs = {"expr": expr, "k": str(line.slope), "b": str(line.intercept), "p": point}
+    expr, point, equation = str(f), str(p), f"y = {line}"
+    inputs = {"expr": expr, "k": str(k), "b": str(b), "p": point}
     result = {"line": equation, "multiplicity": multiplicity, "tangent": tangent}
     lines = [
         f"f(x) = {expr} against {equation} at p = {point}",

@@ -31,6 +31,7 @@ TANGENT_COLOR = "#d62728"
 SECANT_COLOR = "#2ca02c"
 ANNOTATION_COLOR = "#7f7f7f"
 DIFFERENTIAL_COLOR = "#ff7f0e"
+SAMPLES = 257  # curve points, evenly spaced over the plot range
 
 NSS = 'vector-effect="non-scaling-stroke"'
 
@@ -81,7 +82,6 @@ def render_figure(
     dx=None,
     width: int = 800,
     height: int = 600,
-    samples: int = 257,
 ) -> tuple[str, dict]:
     """Build the SVG text and a dictionary of the exact geometry used.
 
@@ -95,8 +95,6 @@ def render_figure(
     hi = exact(hi)
     if lo >= hi:
         raise ValueError("plot range must satisfy lo < hi")
-    if samples < 2:
-        raise ValueError("need at least two samples")
     if width < MIN_WIDTH or height < MIN_HEIGHT:
         raise ValueError(
             f"size {width}x{height} leaves no plot area inside the margins; "
@@ -106,13 +104,13 @@ def render_figure(
     tangent = tangent_at(f, p)
     k, b = tangent.slope, tangent.intercept
 
-    curve = _sample_curve(f, lo, hi, samples)
+    curve = _sample_curve(f, lo, hi, SAMPLES)
 
     fp = k * p + b  # the tangent meets f at p
     ax, ay = float(p), float(fp)
     tangent_ends = [(float(lo), float(k * lo + b)), (float(hi), float(k * hi + b))]
 
-    info: dict = {"slope": k, "intercept": b, "samples": samples}
+    info: dict = {"slope": k, "intercept": b, "samples": SAMPLES}
 
     ys = [y for _, y in curve] + [y for _, y in tangent_ends] + [ay]
 
@@ -126,7 +124,8 @@ def render_figure(
         ys += [by, dyl_y]
 
     y_lo, y_hi = min(ys), max(ys)
-    pad = (y_hi - y_lo) * 0.05 or 1.0
+    # A flat figure pads 1.0 each way, or 5% of |y| where y is so large that it absorbs 1.0.
+    pad = (y_hi - y_lo) * 0.05 or (1.0 if y_lo - 1.0 < y_hi + 1.0 else abs(y_hi) * 0.05)
     y_lo -= pad
     y_hi += pad
 

@@ -32,7 +32,6 @@ denominator polynomials while ``parser.parse`` reads the text, and
 
 from __future__ import annotations
 
-from collections import namedtuple
 from collections.abc import Iterable
 from fractions import Fraction
 from math import gcd, lcm
@@ -421,34 +420,14 @@ def _coprime_mod_p(a: list[int], da: int, b: list[int], db: int) -> bool:
     if not (da % _P and db % _P and a[-1] and b[-1]):
         return False  # a denominator or a leading coefficient vanishes mod _P
     while len(b) > 1:  # b has degree >= 1: replace (a, b) by (b, a mod b)
-        inv, nb = pow(b[-1], -1, _P), len(b)
-        for i in range(len(a) - nb, -1, -1):
-            q = a[i + nb - 1] * inv % _P
-            if q:
-                for j in range(nb - 1):
-                    a[i + j] = (a[i + j] - q * b[j]) % _P
-        del a[nb - 1:]
-        while a and not a[-1]:
-            a.pop()
-        if not a:
+        # lc(b) is a unit mod _P, so the pseudo-remainder is a unit times a mod b.
+        r = [n % _P for n in _pseudo_divide(a, b)[1]]
+        while r and not r[-1]:
+            r.pop()
+        if not r:
             return False  # b divides a: the gcd mod P has degree >= 1
-        a, b = b, a
+        a, b = b, r
     return True  # b is a nonzero constant
-
-
-class LinearFunction(namedtuple("LinearFunction", "slope intercept")):
-    """A line y = k*x + b given by slope k and intercept b, both exact."""
-
-    __slots__ = ()
-
-    def __new__(cls, slope, intercept):
-        return super().__new__(cls, exact(slope), exact(intercept))
-
-    def as_polynomial(self) -> Polynomial:
-        return Polynomial((self.intercept, self.slope))
-
-    def equation(self) -> str:
-        return f"y = {self.as_polynomial()}"
 
 
 class RationalFunction:

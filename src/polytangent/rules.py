@@ -5,8 +5,9 @@ so the sum, product and chain rules are theorems about it rather than
 baked-in rewrite rules.  Each verifier takes f, g and their derivatives
 df, dg, computed once by the caller, which only its right-hand side
 uses: the left-hand side differentiates f + g, f*g, f/g or f(g) itself.
-It reports whether the two sides agree in canonical form; a failing
-report anywhere is a bug.  What each identity checks:
+It reports whether the two sides (Polynomials, or RationalFunctions for
+the quotient rule) agree in canonical form; a failing report anywhere
+is a bug.  What each identity checks:
 
 - sum and product: the dual-Horner derivative of f + g and f*g against
   df + dg and df*g + f*dg.
@@ -30,7 +31,10 @@ from .polynomial import Polynomial, RationalFunction
 from .tangency import derivative, ratfun_derivative
 
 class RuleReport(namedtuple("RuleReport", "rule lhs rhs")):
-    """Both sides of one rule identity; `holds` is equality of canonical forms."""
+    """Both sides of one rule identity; `holds` is equality of canonical forms.
+
+    A side is a Polynomial or, for the quotient rule, a RationalFunction.
+    """
 
     __slots__ = ()
 
@@ -41,15 +45,15 @@ class RuleReport(namedtuple("RuleReport", "rule lhs rhs")):
 
 def verify_sum(f: Polynomial, g: Polynomial, df: Polynomial, dg: Polynomial) -> RuleReport:
     """(f + g)' versus f' + g'."""
-    lhs = RationalFunction(derivative(f + g))
-    rhs = RationalFunction(df + dg)
+    lhs = derivative(f + g)
+    rhs = df + dg
     return RuleReport("sum", lhs, rhs)
 
 
 def verify_product(f: Polynomial, g: Polynomial, df: Polynomial, dg: Polynomial) -> RuleReport:
     """(f*g)' versus f'*g + f*g'."""
-    lhs = RationalFunction(derivative(f * g))
-    rhs = RationalFunction(df * g + f * dg)
+    lhs = derivative(f * g)
+    rhs = df * g + f * dg
     return RuleReport("product", lhs, rhs)
 
 
@@ -64,8 +68,8 @@ def verify_quotient(f: Polynomial, g: Polynomial, df: Polynomial, dg: Polynomial
 
 def verify_chain(f: Polynomial, g: Polynomial, df: Polynomial, dg: Polynomial) -> RuleReport:
     """(f(g(x)))' versus f'(g(x)) * g'(x)."""
-    lhs = RationalFunction(derivative(f(g)))
-    rhs = RationalFunction(df(g) * dg)
+    lhs = derivative(f(g))
+    rhs = df(g) * dg
     return RuleReport("chain", lhs, rhs)
 
 

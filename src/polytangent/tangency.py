@@ -9,7 +9,8 @@ for some cofactor polynomial Q.  The tangent is f mod (x - p)**2, from
 two synthetic divisions by (x - p): the remainders are f(p), then the
 slope k, so b = f(p) - p*k, and Q is the second quotient; the
 factorization is re-checked coefficient by coefficient.  The multiplicity
-divides until a remainder is nonzero; n divisions give the Taylor shift.
+divides f - g, for a line g = Polynomial((b, k)) or any polynomial g,
+until a remainder is nonzero; n divisions give the Taylor shift.
 
 Letting p vary produces the derivative as a function.  It is generated
 here in one pass by evaluating f at the dual element x + eps over the
@@ -26,7 +27,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .dual import Dual, eval_poly
-from .polynomial import ONE, LinearFunction, Polynomial, RationalFunction, X, polynomial_gcd
+from .polynomial import ONE, Polynomial, RationalFunction, X, polynomial_gcd
 from .rational import exact
 
 # Marker for "the difference is identically zero": a line coincident
@@ -51,13 +52,6 @@ class TangentLine(namedtuple("TangentLine", "point slope intercept cofactor")):
 
     __slots__ = ()
 
-    @property
-    def line(self) -> LinearFunction:
-        return LinearFunction(self.slope, self.intercept)
-
-    def equation(self) -> str:
-        return self.line.equation()
-
 
 def _divide(cs: list[Fraction], p: Fraction) -> tuple[list[Fraction], Fraction]:
     """Divide sum cs[i]*x**i by (x - p) by Horner, in place: (quotient, remainder f(p))."""
@@ -76,15 +70,15 @@ def taylor_shift(f: Polynomial, center) -> Polynomial:
     return Polynomial._trusted(out)
 
 
-def intersection_multiplicity(f: Polynomial, line: LinearFunction, point):
-    """Largest m with (x - point)**m dividing f - line; INFINITE if identical.
+def intersection_multiplicity(f: Polynomial, g: Polynomial, point):
+    """Largest m with (x - point)**m dividing f - g; INFINITE if f == g.
 
-    m = 0 means the line misses (point, f(point)); m = 1 is a plain
-    crossing; m >= 2 is tangency.  Division by (x - point) stops at the
-    first nonzero remainder: m + 1 divisions, O((m + 1)*n) operations.
+    For a line g, m = 0 misses (point, f(point)), m = 1 crosses and m >= 2
+    is tangency; any other g gives the order of contact.  Division by
+    (x - point) stops at the first nonzero remainder: m + 1 O(n) divisions.
     """
     p = exact(point)
-    cs = list((f - line.as_polynomial()).coeffs)
+    cs = list((f - g).coeffs)
     for m in range(len(cs)):  # at the latest, the leading coefficient is a nonzero remainder
         cs, r = _divide(cs, p)
         if r:
@@ -92,13 +86,13 @@ def intersection_multiplicity(f: Polynomial, line: LinearFunction, point):
     return INFINITE
 
 
-def is_tangent(f: Polynomial, line: LinearFunction, point) -> bool:
+def is_tangent(f: Polynomial, g: Polynomial, point) -> bool:
     """The double-root test: tangent iff the intersection multiplicity is >= 2.
 
-    A coincident line (INFINITE multiplicity) counts as tangent, so a
-    line is its own tangent at every point.
+    A coincident g (INFINITE multiplicity) counts as tangent, so a line
+    is its own tangent at every point.
     """
-    return intersection_multiplicity(f, line, point) >= 2
+    return intersection_multiplicity(f, g, point) >= 2
 
 
 def tangent_at(f: Polynomial, point) -> TangentLine:

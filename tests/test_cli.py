@@ -1,6 +1,7 @@
 """Command-line behaviour: envelopes, goldens, exit codes, the SVG figure."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -232,21 +233,28 @@ class TestCommands:
     @pytest.mark.parametrize("mode", [(), ("--json",)], ids=["text", "json"])
     def test_rules_renders_each_holding_report_once(self, capsys, monkeypatch, mode):
         """A rule that holds has equal canonical sides, so its rhs is its lhs's text."""
-        calls = []
-        to_str = RationalFunction.__str__
+        sides, calls = [], []
+        for name, verify in list(cli.VERIFIERS.items()):
+            def recorded(*args, verify=verify):
+                report = verify(*args)
+                sides.extend((report.lhs, report.rhs))
+                return report
 
-        def counted(self):
-            calls.append(self)
-            return to_str(self)
+            monkeypatch.setitem(cli.VERIFIERS, name, recorded)
+        for cls in (Polynomial, RationalFunction):
+            def counted(self, to_str=cls.__str__):
+                calls.append(self)
+                return to_str(self)
 
-        monkeypatch.setattr(RationalFunction, "__str__", counted)
+            monkeypatch.setattr(cls, "__str__", counted)
         code, out = run_cli(capsys, *mode, "rules", "x^2 + 1", "x - 2")
         assert code == 0 and "FAILS" not in out
-        assert len(calls) == len(cli.VERIFIERS)
+        assert len(sides) == 2 * len(cli.VERIFIERS)
+        assert sum(any(c is side for side in sides) for c in calls) == len(cli.VERIFIERS)
 
     def test_rules_failing_report_prints_both_sides(self, capsys, monkeypatch):
         def unequal(f, g, df, dg):
-            return RuleReport("sum", RationalFunction(X), RationalFunction(X + 1))
+            return RuleReport("sum", X, X + 1)
 
         monkeypatch.setitem(cli.VERIFIERS, "sum", unequal)
         _, out = run_cli(capsys, "rules", "x^2", "x")
@@ -684,6 +692,20 @@ class TestPlot:
         assert code == 2
         assert json.loads(out)["error"].startswith(f"plot range {lo},{hi} has no finite")
         assert not out_svg.exists()
+
+    @pytest.mark.parametrize("expr", ["10^20", "-10^17"])
+    def test_flat_figure_beyond_float_integers_is_drawn(self, capsys, tmp_path, expr):
+        """|y| > 2^53 absorbs a pad of 1.0, so the y range opens by 5% of |y| instead."""
+        out_svg = tmp_path / "flat.svg"
+        code, _ = run_cli(capsys, "plot", expr, "0", "--range=0,1", "--out", str(out_svg))
+        assert code == 0
+        root = ET.parse(out_svg).getroot()
+        transform = data_elements(out_svg)["data"].get("transform")
+        translate, scale = (part.split("(")[1].split() for part in transform.split(")")[:2])
+        assert all(math.isfinite(float(v)) for v in translate + scale)
+        assert float(scale[1]) < 0
+        (marker,) = [el for el in root.iter() if el.tag.endswith("circle")]
+        assert 20 < float(marker.get("cy")) < 600 - 45  # inside the frame
 
     def test_zero_dx_is_an_input_error(self, capsys, tmp_path):
         code, _ = run_cli(

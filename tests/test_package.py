@@ -7,7 +7,7 @@ from types import ModuleType
 # Every public name the package imports from its modules.
 PUBLIC = {
     "CertificateError", "Decomposition", "DomainError", "Dual", "ELEMENTARY_TAGS",
-    "INFINITE", "LinearFunction", "LoweringError", "ONE", "ParseError", "Polynomial",
+    "INFINITE", "LoweringError", "ONE", "ParseError", "Polynomial",
     "QuotientRow", "RationalFunction", "RuleReport", "TangentLine", "X", "ZERO", "decompose",
     "derivative", "eval_elementary", "eval_poly", "increment", "intersection_multiplicity",
     "is_tangent", "lower_poly", "lower_ratfun", "parse", "polynomial_gcd", "quotient_table",

@@ -11,7 +11,6 @@ from polytangent.polynomial import (
     ONE,
     X,
     ZERO,
-    LinearFunction,
     Polynomial,
     RationalFunction,
     polynomial_gcd,
@@ -488,16 +487,6 @@ class TestRendering:
 
     def test_alternate_variable(self):
         assert (X**2 + 1).render("t") == "t^2 + 1"
-
-
-class TestLinearFunction:
-    def test_as_polynomial(self):
-        line = LinearFunction(6, -9)
-        assert line.as_polynomial() == 6 * X - 9
-        assert line.equation() == "y = 6*x - 9"
-
-    def test_horizontal_line_is_legal(self):
-        assert LinearFunction(0, 5).equation() == "y = 5"
 
 
 class TestRationalFunction:

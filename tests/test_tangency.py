@@ -11,7 +11,6 @@ from polytangent.polynomial import (
     ONE,
     X,
     ZERO,
-    LinearFunction,
     Polynomial,
     RationalFunction,
     polynomial_gcd,
@@ -79,19 +78,27 @@ class TestTaylorShift:
 
 class TestIntersectionMultiplicity:
     def test_double_root(self):
-        assert intersection_multiplicity(X**2, LinearFunction(6, -9), 3) == 2
+        assert intersection_multiplicity(X**2, Polynomial((-9, 6)), 3) == 2
 
     def test_simple_root(self):
-        assert intersection_multiplicity(X**2, LinearFunction(5, -6), 3) == 1
+        assert intersection_multiplicity(X**2, Polynomial((-6, 5)), 3) == 1
 
     def test_coincident_line(self):
-        assert intersection_multiplicity(X + 1, LinearFunction(1, 1), 0) == INFINITE
+        assert intersection_multiplicity(X + 1, Polynomial((1, 1)), 0) == INFINITE
 
     def test_missing_the_point(self):
-        assert intersection_multiplicity(X**2, LinearFunction(0, 0), 3) == 0
+        assert intersection_multiplicity(X**2, Polynomial((0, 0)), 3) == 0
 
     def test_higher_multiplicity(self):
-        assert intersection_multiplicity(X**3, LinearFunction(0, 0), 0) == 3
+        assert intersection_multiplicity(X**3, Polynomial((0, 0)), 0) == 3
+
+    def test_curve_against_curve(self):
+        """g need not be a line: x^3 + x^2 meets x^2 with order 3 at 0."""
+        assert intersection_multiplicity(X**3 + X**2, X**2, 0) == 3
+
+    def test_curve_against_itself(self):
+        f = X**3 - 2 * X + Fraction(1, 3)
+        assert intersection_multiplicity(f, f, Fraction(-5, 7)) == INFINITE
 
     @given(st.one_of(polys, sparse_polys), points, st.integers(0, 5), coeffs, coeffs)
     @example(ONE, Fraction(0), 0, Fraction(0), Fraction(0))
@@ -99,8 +106,8 @@ class TestIntersectionMultiplicity:
     def test_constructed_multiplicity(self, g, p, m, k, b):
         """f = (x - p)**m * g + (k*x + b) with g(p) != 0 meets the line with multiplicity m."""
         assume(g(p) != 0)
-        line = LinearFunction(k, b)
-        f = (X - p) ** m * g + line.as_polynomial()
+        line = Polynomial((b, k))
+        f = (X - p) ** m * g + line
         assert intersection_multiplicity(f, line, p) == m
         assert is_tangent(f, line, p) == (m >= 2)
 
@@ -109,8 +116,8 @@ class TestIntersectionMultiplicity:
     @example(ZERO, Fraction(0), Fraction(0), Fraction(-1, 2))
     @example(ZERO, Fraction(3), Fraction(0), Fraction(0))
     def test_matches_binomial_shift_oracle(self, f, k, b, p):
-        line = LinearFunction(k, b)
-        shifted = binomial_shift(f - line.as_polynomial(), p)
+        line = Polynomial((b, k))
+        shifted = binomial_shift(f - line, p)
         expected = next((i for i, c in enumerate(shifted) if c), INFINITE)
         assert intersection_multiplicity(f, line, p) == expected
 
@@ -120,8 +127,8 @@ class TestIntersectionMultiplicity:
         p = Fraction(1, 3)
         g = Polynomial([rand_rational(rng) for _ in range(1022)] + [1])
         assert g(p) != 0
-        line = LinearFunction(Fraction(-5, 7), 2)
-        f = (X - p) ** 2 * g + line.as_polynomial()
+        line = Polynomial((2, Fraction(-5, 7)))
+        f = (X - p) ** 2 * g + line
         assert f.degree == 1024
         assert intersection_multiplicity(f, line, p) == 2
         assert is_tangent(f, line, p)
@@ -129,19 +136,24 @@ class TestIntersectionMultiplicity:
 
 class TestIsTangent:
     def test_examples(self):
-        assert is_tangent(X**2, LinearFunction(6, -9), 3)
-        assert not is_tangent(X**2, LinearFunction(5, -6), 3)
-        assert is_tangent(Polynomial([7]), LinearFunction(0, 7), 5)
+        assert is_tangent(X**2, Polynomial((-9, 6)), 3)
+        assert not is_tangent(X**2, Polynomial((-6, 5)), 3)
+        assert is_tangent(Polynomial([7]), Polynomial((7, 0)), 5)
+
+    def test_touching_parabolas(self):
+        """x^2 and 2x^2 - 2x + 1 differ by (x - 1)^2: they meet only at 1, where they touch."""
+        g = 2 * X**2 - 2 * X + 1
+        assert is_tangent(X**2, g, 1)
+        assert not is_tangent(X**2, g, 0)
 
     def test_line_is_its_own_tangent(self):
-        assert is_tangent(2 * X + 1, LinearFunction(2, 1), 4)
+        assert is_tangent(2 * X + 1, Polynomial((1, 2)), 4)
 
 
 class TestTangentAt:
     def test_square_at_three(self):
         t = tangent_at(X**2, 3)
         assert (t.slope, t.intercept, t.cofactor) == (6, -9, ONE)
-        assert t.equation() == "y = 6*x - 9"
 
     def test_cube_at_two(self):
         t = tangent_at(X**3, 2)
@@ -165,7 +177,7 @@ class TestTangentAt:
     @given(polys, points)
     def test_certificate(self, f, p):
         t = tangent_at(f, p)
-        assert (X - p) ** 2 * t.cofactor + t.line.as_polynomial() == f
+        assert (X - p) ** 2 * t.cofactor + Polynomial((t.intercept, t.slope)) == f
 
     @given(polys, points)
     @example(ZERO, Fraction(3))
@@ -216,7 +228,7 @@ class TestTangentAt:
     @given(polys, points)
     def test_constructed_line_is_tangent(self, f, p):
         t = tangent_at(f, p)
-        assert is_tangent(f, t.line, p)
+        assert is_tangent(f, Polynomial((t.intercept, t.slope)), p)
 
 
 class TestUniqueness:
@@ -229,7 +241,7 @@ class TestUniqueness:
             p = rand_rational(rng)
             k = tangent_at(f, p).slope
             for wrong in (k + 1, k - 1, k + Fraction(1, 2), k - Fraction(1, 2)):
-                line = LinearFunction(wrong, f(p) - wrong * p)
+                line = Polynomial((f(p) - wrong * p, wrong))
                 assert not is_tangent(f, line, p)
 
 

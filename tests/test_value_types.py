@@ -6,13 +6,12 @@ import pytest
 
 from polytangent.decomposition import Decomposition, QuotientRow
 from polytangent.dual import Dual
-from polytangent.polynomial import LinearFunction, Polynomial, RationalFunction, X
+from polytangent.polynomial import Polynomial, X
 from polytangent.rules import RuleReport
 from polytangent.tangency import TangentLine
 
 # (type, field values in declaration order, as the instance stores them)
 VALUES = [
-    (LinearFunction, {"slope": Fraction(2), "intercept": Fraction(-9, 4)}),
     (TangentLine, {"point": Fraction(3), "slope": Fraction(6), "intercept": Fraction(-9),
                    "cofactor": Polynomial([1])}),
     (Decomposition, {"x0": Fraction(3), "value": Fraction(9), "slope": Fraction(6),
@@ -20,7 +19,7 @@ VALUES = [
     (QuotientRow, {"h": Fraction(1, 10), "dy": Fraction(61, 100), "quotient": Fraction(61, 10),
                    "gap": Fraction(1, 10)}),
     (Dual, {"real": Fraction(1, 2), "eps": Fraction(-3)}),
-    (RuleReport, {"rule": "sum", "lhs": RationalFunction(2 * X), "rhs": RationalFunction(2 * X)}),
+    (RuleReport, {"rule": "sum", "lhs": 2 * X, "rhs": 2 * X}),
 ]
 
 
@@ -46,13 +45,3 @@ class TestValueType:
             value.extra = None
         assert value == cls(**fields)
 
-
-class TestLinearFunction:
-    def test_floats_are_rejected(self):
-        with pytest.raises(TypeError):
-            LinearFunction(0.5, 1)
-
-    def test_coefficients_convert_exactly(self):
-        line = LinearFunction(1, "1/2")
-        assert line.intercept == Fraction(1, 2)
-        assert type(line.slope) is Fraction and type(line.intercept) is Fraction
