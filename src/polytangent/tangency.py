@@ -12,6 +12,11 @@ factorization is re-checked coefficient by coefficient.  The multiplicity
 divides f - g, for a line g = Polynomial((b, k)) or any polynomial g,
 until a remainder is nonzero; n divisions give the Taylor shift.
 
+For p = a/b and f = F/d with integer F, the tangent and the multiplicity
+divide the integer polynomial H(y) = b**n * F(y/b) by the monic y - a
+instead, so no step builds a Fraction; each output is one Fraction over
+D = d*b**n.  The Taylor shift still divides in Fractions.
+
 Letting p vary produces the derivative as a function.  It is generated
 here in one pass by evaluating f at the dual element x + eps over the
 polynomial ring, each step two shifts and an add: the eps component is
@@ -27,7 +32,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .dual import Dual, eval_poly
-from .polynomial import ONE, Polynomial, RationalFunction, X, polynomial_gcd
+from .polynomial import ONE, Polynomial, RationalFunction, X, integer_content, polynomial_gcd
 from .rational import exact
 
 # Marker for "the difference is identically zero": a line coincident
@@ -60,6 +65,21 @@ def _divide(cs: list[Fraction], p: Fraction) -> tuple[list[Fraction], Fraction]:
     return cs[1:], cs[0]
 
 
+def _scaled(cs, p: Fraction) -> tuple[list[int], int]:
+    """(H, D) with H[j] = F[j]*b**(n - j) for cs = F/d and p = a/b: f(x) = H(b*x)/D, D = d*b**n.
+
+    H(y) = b**n * F(y/b) has integer coefficients, and x - p divides f
+    exactly when the monic y - a divides H, so ``_divide`` runs on H
+    with the integer a.  D holds only for cs not empty.
+    """
+    ints, d = integer_content(cs)
+    b, h, s = p.denominator, [0] * len(ints), 1
+    for j in range(len(ints) - 1, -1, -1):
+        h[j] = ints[j] * s
+        s *= b
+    return h, d * s // b
+
+
 def taylor_shift(f: Polynomial, center) -> Polynomial:
     """f(center + t) in t: the remainders of n divisions by (x - center), O(n**2)."""
     p = exact(center)
@@ -74,13 +94,16 @@ def intersection_multiplicity(f: Polynomial, g: Polynomial, point):
     """Largest m with (x - point)**m dividing f - g; INFINITE if f == g.
 
     For a line g, m = 0 misses (point, f(point)), m = 1 crosses and m >= 2
-    is tangency; any other g gives the order of contact.  Division by
-    (x - point) stops at the first nonzero remainder: m + 1 O(n) divisions.
+    is tangency; any other g gives the order of contact.  With point = a/b,
+    (x - point)**m divides f - g exactly when (y - a)**m divides its
+    scaled integer form H (see ``_scaled``), so the divisions by y - a
+    run on integers, stop at the first nonzero remainder and build no
+    Fraction: m + 1 O(n) divisions.
     """
     p = exact(point)
-    cs = list((f - g).coeffs)
+    cs, _ = _scaled((f - g).coeffs, p)
     for m in range(len(cs)):  # at the latest, the leading coefficient is a nonzero remainder
-        cs, r = _divide(cs, p)
+        cs, r = _divide(cs, p.numerator)
         if r:
             return m
     return INFINITE
@@ -98,26 +121,44 @@ def is_tangent(f: Polynomial, g: Polynomial, point) -> bool:
 def tangent_at(f: Polynomial, point) -> TangentLine:
     """Construct the unique tangent to f at the given abscissa.
 
-    Two synthetic divisions: f = (x - p)*q1 + f(p) and q1 = (x - p)*Q + k,
-    so f - (k*x + b) = (x - p)**2 * Q with b = f(p) - p*k, re-verified by
-    writing the right-hand side out in plain Fractions, with no Polynomial
-    product or power.  A constant gets its own horizontal line, the zero
-    polynomial y = 0, both with a zero cofactor.
+    With p = a/b and f(x) = H(b*x)/D (see ``_scaled``), two integer
+    divisions by y - a give H = (y - a)*q1 + v and q1 = (y - a)*q + k_H,
+    so f - (k*x + c) = (x - p)**2 * Q with k = k_H*b/D,
+    c = (v - a*k_H)/D and Q_j = q_j*b**(j + 2)/D.  The result is
+    re-verified from f, k, c and Q alone: times D*b**2 the identity is
+    (b*x - a)**2 * (D*Q) + b**2*(D*k*x + D*c), an integer sum written out
+    with no Polynomial product or power, and each coefficient of f is
+    rebuilt from it with one Fraction.  A constant gets its own
+    horizontal line, the zero polynomial y = 0, both with a zero cofactor.
     """
     p = exact(point)
-    q1, value = _divide(list(f.coeffs) + [Fraction(0)] * (2 - len(f.coeffs)), p)
-    q, k = _divide(q1, p)
-    b, cofactor = value - p * k, Polynomial._trusted(q)
-    # Coefficient i of (x - p)**2 * Q is q[i-2] - 2p*q[i-1] + p**2*q[i], and padded[i + 2] is q[i].
-    two_p, p2 = 2 * p, p * p
-    padded = [0, 0, *cofactor.coeffs, 0, 0]
-    rebuilt = [padded[i] - two_p * padded[i + 1] + p2 * padded[i + 2]
-               for i in range(len(padded) - 2)]
-    rebuilt[0] += b
-    rebuilt[1] += k
-    if Polynomial._trusted(rebuilt) != f:
+    a, b = p.numerator, p.denominator
+    h, D = _scaled(list(f.coeffs) + [Fraction(0)] * (2 - len(f.coeffs)), p)
+    q1, v = _divide(h, a)
+    q, k_h = _divide(q1, a)
+    k, c = Fraction(k_h * b, D), Fraction(v - a * k_h, D)
+    den, qs = D // (b * b), []  # d*b**(n - 2), the denominator of q_0
+    for qj in q:
+        qs.append(Fraction(qj, den))
+        den //= b
+    cofactor = Polynomial._trusted(qs)
+    # Times D*b**2, f = (x - p)**2*Q + k*x + c holds in integers once D*c, D*k and each D*Q_j
+    # are integers.  Coefficient i of (b*x - a)**2 * P is b**2*P[i-2] - 2ab*P[i-1] + a**2*P[i],
+    # and padded[i + 2] is P[i].
+    outputs = (c, k, *cofactor.coeffs)
+    if any(D % t.denominator for t in outputs):
         raise CertificateError(f"tangent certificate failed for f = {f} at p = {p}")
-    return TangentLine(p, k, b, cofactor)
+    dc, dk, *dq = [t.numerator * (D // t.denominator) for t in outputs]
+    b2, two_ab, a2 = b * b, 2 * a * b, a * a
+    padded = [0, 0, *dq, 0, 0]
+    rebuilt = [b2 * padded[i] - two_ab * padded[i + 1] + a2 * padded[i + 2]
+               for i in range(len(padded) - 2)]
+    rebuilt[0] += b2 * dc
+    rebuilt[1] += b2 * dk
+    scale = D * b2
+    if Polynomial._trusted([Fraction(s, scale) for s in rebuilt]) != f:
+        raise CertificateError(f"tangent certificate failed for f = {f} at p = {p}")
+    return TangentLine(p, k, c, cofactor)
 
 
 def derivative(f: Polynomial) -> Polynomial:

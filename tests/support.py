@@ -12,16 +12,18 @@ rational functions are compared by cross multiplication instead of by
 their canonical forms, tangent certificates are checked by plain
 ``Fraction`` evaluation instead of by polynomial arithmetic, a parsed
 sum of monomials is checked against a ``Fraction`` list filled slot by
-slot, and a derivative of a rational function is checked pointwise by
-the double-root criterion instead of by any derivative code; these
-two take plain sequences and call nothing in ``polytangent``.
+slot, a derivative of a rational function is checked pointwise by
+the double-root criterion instead of by any derivative code, and a
+multiplicity is counted by dividing by x - p in plain ``Fraction``s with
+no integer scaling; these three take plain sequences and call nothing
+in ``polytangent``.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, inf
 
 from hypothesis import strategies as st
 
@@ -267,6 +269,24 @@ def _divide_by_x_minus(cs, p) -> tuple[list[Fraction], Fraction]:
     rem = out.pop() if out else Fraction(0)
     out.reverse()
     return out, rem
+
+
+def multiplicity(cs, p) -> int | float:
+    """Independent multiplicity oracle: the largest m with (x - p)**m dividing sum cs[i]*x**i.
+
+    Takes a coefficient sequence and divides it by x - p in plain
+    Fractions, with no integer scaling, until a remainder is nonzero;
+    ``math.inf`` for the zero polynomial.
+    """
+    cs, p = list(_trimmed([Fraction(c) for c in cs])), Fraction(p)
+    if not cs:
+        return inf
+    m = 0
+    while True:
+        cs, rem = _divide_by_x_minus(cs, p)
+        if rem:
+            return m
+        m += 1
 
 
 def quotient_rule_holds(n, d, a, b) -> bool:

@@ -458,6 +458,21 @@ class TestExitCodes:
         assert code == 3
         assert json.loads(out)["status"] == "error"
 
+    def test_recheck_catches_a_wrong_slope(self, capsys, monkeypatch):
+        divide, calls = tangency._divide, []
+
+        def corrupted(cs, p):  # adds 1 to the remainder of each second division, the slope
+            calls.append(p)
+            q, r = divide(cs, p)
+            return q, r + 1 if len(calls) % 2 == 0 else r
+
+        monkeypatch.setattr(tangency, "_divide", corrupted)
+        with pytest.raises(CertificateError):
+            tangent_at(X**3, 2)
+        code, out = run_cli(capsys, "--json", "tangent", "x^3", "2")
+        assert code == 3
+        assert json.loads(out)["status"] == "error"
+
 
 def run_each(capsys, argvs):
     """(exit code, stdout, stderr) of each argv, in order, in this process."""

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, example, given
@@ -28,7 +29,10 @@ from polytangent.tangency import (
 from support import (
     binomial_shift,
     certificate_holds,
+    coefficient_sum,
+    convolve,
     expansion_tangent,
+    multiplicity,
     power_rule_derivative,
     rand_polynomial,
     rand_rational,
@@ -38,6 +42,17 @@ from support import (
 coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 polys = st.builds(Polynomial, st.lists(coeffs, max_size=9))
 points = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+lines = st.builds(lambda b, k: Polynomial((b, k)), coeffs, coeffs)
+# u/v with coprime u and v of up to 18 digits, and integers of that size: tangency scales
+# f by b**n at p = a/b, which a denominator of at most 9 hardly shows.
+wide_points = st.one_of(
+    st.tuples(st.integers(-10**18, 10**18), st.integers(2, 10**18))
+    .filter(lambda uv: gcd(*uv) == 1)
+    .map(lambda uv: Fraction(*uv)),
+    st.integers(-10**18, 10**18).map(Fraction),
+)
+P18 = Fraction(-123456789012345679, 987654321098765432)
+F18 = Polynomial([Fraction(-7, 3), 5, 0, Fraction(2, 9), -1, 0, Fraction(8, 5)])
 small_factors = st.builds(Polynomial, st.lists(coeffs, min_size=1, max_size=3)).filter(bool)
 _rng = random.Random(128)
 DENSE_128 = Polynomial([rand_rational(_rng) for _ in range(128)] + [1])
@@ -121,6 +136,23 @@ class TestIntersectionMultiplicity:
         expected = next((i for i, c in enumerate(shifted) if c), INFINITE)
         assert intersection_multiplicity(f, line, p) == expected
 
+    @given(st.integers(0, 40), polys, st.one_of(lines, polys, sparse_polys), wide_points)
+    @example(0, ZERO, X + 1, Fraction(7))  # f = g
+    @example(3, ZERO, ZERO, P18)
+    @example(40, X - 2, Polynomial((Fraction(1, 3), -4)), P18)
+    @example(17, ONE, F18, Fraction(-10**18))
+    @example(2, Polynomial([5]), ZERO, Fraction(1))
+    def test_matches_division_oracle(self, m, r, g, p):
+        """f = (x - p)**m * r + g meets g with multiplicity m if r(p) != 0, INFINITE if r = 0."""
+        assume(not r or r(p) != 0)
+        power = (Fraction(1),)
+        for _ in range(m):
+            power = convolve(power, (-p, 1))
+        f = coefficient_sum(convolve(power, r.coeffs), g.coeffs)
+        expected = m if r else INFINITE
+        assert multiplicity(coefficient_sum(f, g.coeffs, -1), p) == expected
+        assert intersection_multiplicity(Polynomial(f), g, p) == expected
+
     def test_degree_1024_stops_after_three_divisions(self):
         """m + 1 divisions: a full Taylor shift at this degree takes about 100 times longer."""
         rng = random.Random(1024)
@@ -182,6 +214,10 @@ class TestTangentAt:
     @given(polys, points)
     @example(ZERO, Fraction(3))
     @example(Polynomial([5]), Fraction(7))
+    @example(F18, P18)
+    @example(F18, 1 / P18)
+    @example(F18, Fraction(-10**18 + 1))
+    @example(DENSE_128, Fraction(6))
     def test_certificate_holds_independently(self, f, p):
         t = tangent_at(f, p)
         assert certificate_holds(f, t.slope, t.intercept, t.point, t.cofactor)
@@ -199,6 +235,10 @@ class TestTangentAt:
     @example(ZERO, Fraction(3))
     @example(Polynomial([5]), Fraction(7))
     @example(2 * X + 1, Fraction(-1, 2))
+    @example(F18, P18)
+    @example(F18, 1 / P18)
+    @example(F18, Fraction(-10**18 + 1))
+    @example(DENSE_128, Fraction(6))
     def test_matches_expansion_oracle(self, f, p):
         t = tangent_at(f, p)
         assert (t.slope, t.intercept, t.cofactor) == expansion_tangent(f, p)
